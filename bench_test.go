@@ -34,8 +34,7 @@ var distScale = experiments.Config{Scale: 0.25}
 // ---------------------------------------------------------------------
 // Tables 1–3: the CRC + TCP splice classification per site.
 
-func benchSpliceTables(b *testing.B, substr string) {
-	b.Helper()
+func BenchmarkTables123(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		results := experiments.Tables123(benchScale)
 		var missed, remaining uint64
@@ -49,10 +48,6 @@ func benchSpliceTables(b *testing.B, substr string) {
 		b.ReportMetric(float64(missed)/float64(remaining), "tcp-miss-rate")
 	}
 }
-
-func BenchmarkTable1_NSC(b *testing.B)      { benchSpliceTables(b, "nsc") }
-func BenchmarkTable2_SICS(b *testing.B)     { benchSpliceTables(b, "sics") }
-func BenchmarkTable3_Stanford(b *testing.B) { benchSpliceTables(b, "stanford") }
 
 // ---------------------------------------------------------------------
 // Figure 2: checksum distribution over cell blocks + prediction.

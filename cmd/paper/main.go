@@ -8,8 +8,6 @@
 //	paper -netsim [-scale 1.0] [-workers N] [-seed S]
 //	paper -census [-scale 1.0] [-workers N] [-seed S]
 //	paper -benchcensusjson BENCH_census.json [-scale 0.05]
-//	paper -benchjson BENCH_splice.json [-scale 0.05] [-benchiters 3]
-//	paper -benchdistjson BENCH_dist.json [-scale 0.05] [-benchiters 3]
 //	paper -benchnetsimjson BENCH_netsim.json [-scale 0.05] [-benchiters 3] [-placement e2e,segment]
 //	paper -benchalgojson BENCH_algo.json [-benchiters 3] [-kernel nguyen]
 //
@@ -51,14 +49,12 @@
 // -benchcensusjson writes the same run as one JSON record per
 // candidate, carrying both lanes' numbers.
 //
-// -benchjson times the Table 1–3 splice simulations instead of printing
-// tables, writing ns/op, MB/s and allocs/op records that seed the
-// repository's performance trajectory.  -benchdistjson does the same
-// for the distribution passes (Figures 2–3, Tables 4–5), at one worker
-// and at GOMAXPROCS workers so the records carry the parallel speedup.
-// -benchalgojson times every registry algorithm's one-shot checksum at
-// cell, MTU and bulk sizes, recording the raced CRC kernel and its
-// speedup over the slicing-by-8 baseline.
+// The Table 1–3 splice simulations and the distribution passes
+// (Figures 2–3, Tables 4–5) are timed by the bench/ harness
+// (bash bench/run.sh --workload splice-tables|dist-passes), which also
+// checks their output.  -benchalgojson times every registry algorithm's
+// one-shot checksum at cell, MTU and bulk sizes, recording the raced CRC
+// kernel and its speedup over the slicing-by-8 baseline.
 //
 // -kernel pins the CRC bulk engine (slicing8, scalar, chorba, nguyen,
 // or auto) for every table the run builds, overriding the verified
@@ -93,13 +89,11 @@ func main() {
 	censusOnly := flag.Bool("census", false, "run the polynomial-selection census: analytic uniform-assumption P_ud vs injected miss rate over the measured corpus for the CRC candidate slate (IEEE, Castagnoli, Koopman, 5G NR), then exit")
 	benchcensusjson := flag.String("benchcensusjson", "", "run the polynomial census and write one record per candidate (uniform-lane algebra vs measured-corpus miss rates and ranks) to this file (e.g. BENCH_census.json), then exit")
 	progress := flag.Bool("progress", false, "print live throughput (files, MB, MB/s) to stderr while experiments run")
-	benchjson := flag.String("benchjson", "", "time the Table 1–3 splice simulations and write ns/op, MB/s and allocs/op records to this file (e.g. BENCH_splice.json), then exit")
-	benchdistjson := flag.String("benchdistjson", "", "time the Figure 2–3 / Table 4–5 distribution passes and write records (incl. parallel speedup) to this file (e.g. BENCH_dist.json), then exit")
 	benchnetsimjson := flag.String("benchnetsimjson", "", "time the netsim fault-injection pipeline per (fault model × checksum placement) and write trials/sec, MB/s and allocs/trial records to this file (e.g. BENCH_netsim.json), then exit")
 	placement := flag.String("placement", "", "comma-separated checksum placements for -benchnetsimjson (default: all of "+strings.Join(netsim.PlacementNames(), ",")+")")
 	benchalgojson := flag.String("benchalgojson", "", "time every registry algorithm's one-shot checksum at cell/MTU/bulk sizes and write ns/op, GB/s, allocs/op and kernel-speedup records to this file (e.g. BENCH_algo.json), then exit")
 	kernel := flag.String("kernel", "", "force the CRC bulk kernel for the whole run (one of "+strings.Join(crc.KernelNames(), ", ")+", or auto; default: verified per-algorithm racing)")
-	benchIters := flag.Int("benchiters", 3, "iterations per -benchjson/-benchdistjson record")
+	benchIters := flag.Int("benchiters", 3, "iterations per -benchnetsimjson/-benchalgojson record")
 	flag.Parse()
 
 	if *kernel != "" {
@@ -116,19 +110,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *benchjson != "" || *benchdistjson != "" || *benchnetsimjson != "" || *benchalgojson != "" || *benchcensusjson != "" {
-		if *benchjson != "" {
-			if err := runBenchJSON(ctx, *benchjson, *scale, *benchIters); err != nil {
-				fmt.Fprintf(os.Stderr, "paper: benchjson: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *benchdistjson != "" {
-			if err := runBenchDistJSON(ctx, *benchdistjson, *scale, *benchIters); err != nil {
-				fmt.Fprintf(os.Stderr, "paper: benchdistjson: %v\n", err)
-				os.Exit(1)
-			}
-		}
+	if *benchnetsimjson != "" || *benchalgojson != "" || *benchcensusjson != "" {
 		if *benchnetsimjson != "" {
 			placements, err := scenario.ParsePlacements(*placement)
 			if err != nil {
@@ -210,8 +192,6 @@ func main() {
 	}
 
 	// Tables 1–3 and the effective-bits computation share one big run.
-	var t123 = func() []interface{} { return nil }
-	_ = t123
 	needT123 := want["table1"] || want["table2"] || want["table3"] || want["effectivebits"]
 	if needT123 {
 		start := time.Now()

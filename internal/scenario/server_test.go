@@ -144,6 +144,11 @@ func TestGracefulShutdownKeepsCompletedTally(t *testing.T) {
 	if bs[0].State() != StateDone {
 		t.Fatal("bounded stream never completed")
 	}
+	// The bounded stream can finish before the unbounded one has
+	// published its first file; cancel only once it has.
+	for us[0].Passes() == 0 && us[0].Files() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	cancel()
 	select {
 	case err := <-runDone:

@@ -55,15 +55,11 @@ type CollectOptions struct {
 	Progress *Progress
 }
 
-func (o CollectOptions) workers() int {
-	return Options{Workers: o.Workers}.workers()
-}
-
-// Collect is the sharded streaming engine behind every distribution
-// pass: Figures 2–3 and Tables 4–6.  It is the one-shot form of Pool —
-// a walk feeds the bounded job queue, each worker accumulates into a
-// private shard holding no locks, and the shards merge into a fresh
-// result shard at the drain.
+// Collect is the sharded streaming engine behind the splice simulation
+// (Run) and every distribution pass: Figures 2–3 and Tables 4–6.  It is
+// the one-shot form of Pool — a walk feeds the bounded job queue, each
+// worker accumulates into a private shard holding no locks, and the
+// shards merge into a fresh result shard at the drain.
 //
 // Determinism contract: file receives the file's walk-order index, so
 // any per-file seeding depends only on corpus order, never on worker
@@ -82,7 +78,7 @@ func Collect[S any](ctx context.Context, w corpus.Walker, opt CollectOptions,
 ) (S, error) {
 	res := newShard()
 	var mu sync.Mutex
-	pool := NewPool(PoolOptions{Workers: opt.workers(), Progress: opt.Progress},
+	pool := NewPool(PoolOptions{Workers: opt.Workers, Progress: opt.Progress},
 		newShard,
 		file,
 		func(shard S) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"runtime"
 	"sync"
 )
 
@@ -10,10 +11,6 @@ type PoolOptions struct {
 	// Workers is the number of shard-owning goroutines (default
 	// GOMAXPROCS).
 	Workers int
-	// Queue bounds the pending-job channel (default Workers).  A full
-	// queue blocks Submit — the pool's backpressure: a producer that
-	// outpaces scoring stalls instead of buffering unboundedly.
-	Queue int
 	// FlushEvery, when positive, invokes the flush callback on a shard
 	// after it has processed that many files since its last flush, so a
 	// long-running pool publishes partial results in batches.  Zero
@@ -23,15 +20,13 @@ type PoolOptions struct {
 	Progress *Progress
 }
 
+// workers is the package's one worker-count default: every engine —
+// Run, Collect and Pool — resolves its Workers field here.
 func (o PoolOptions) workers() int {
-	return Options{Workers: o.Workers}.workers()
-}
-
-func (o PoolOptions) queue() int {
-	if o.Queue > 0 {
-		return o.Queue
+	if o.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	return o.workers()
+	return o.Workers
 }
 
 type poolJob struct {
@@ -75,7 +70,10 @@ func NewPool[S any](opt PoolOptions,
 ) *Pool[S] {
 	nw := opt.workers()
 	p := &Pool[S]{
-		jobs:   make(chan poolJob, opt.queue()),
+		// One pending job per worker bounds the queue: a full queue
+		// blocks Submit, so a producer that outpaces the workers stalls
+		// instead of buffering unboundedly.
+		jobs:   make(chan poolJob, nw),
 		shards: make([]S, nw),
 		flush:  flush,
 	}

@@ -79,12 +79,12 @@ func TestPoolBatchedFlush(t *testing.T) {
 }
 
 // TestPoolBackpressure pins the bounded-queue contract: with one
-// blocked worker and Queue=1, the third Submit cannot complete until
-// the worker frees a slot.
+// blocked worker, and so a one-job queue, the third Submit cannot
+// complete until the worker frees a slot.
 func TestPoolBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 16)
-	pool := NewPool(PoolOptions{Workers: 1, Queue: 1},
+	pool := NewPool(PoolOptions{Workers: 1},
 		func() *countShard { return &countShard{} },
 		func(s *countShard, idx int, data []byte) {
 			started <- struct{}{}
@@ -128,7 +128,7 @@ func TestPoolSubmitCancel(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 16)
 	var done atomic.Int64
-	pool := NewPool(PoolOptions{Workers: 1, Queue: 1},
+	pool := NewPool(PoolOptions{Workers: 1},
 		func() *countShard { return &countShard{} },
 		func(s *countShard, idx int, data []byte) {
 			started <- struct{}{}

@@ -8,7 +8,6 @@ package sim
 
 import (
 	"context"
-	"runtime"
 	"sync"
 
 	"realsum/internal/corpus"
@@ -57,13 +56,6 @@ func (o Options) segmentSize() int {
 	return o.SegmentSize
 }
 
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
-}
-
 // Result aggregates one system's simulation.
 type Result struct {
 	System  string
@@ -76,79 +68,95 @@ type Result struct {
 	WorstFiles []FileMisses
 }
 
+// add folds o's counts into r.
+func (r *Result) add(o Result) {
+	r.Counts.Add(o.Counts)
+	r.Files += o.Files
+	r.Packets += o.Packets
+	r.Bytes += o.Bytes
+}
+
+// runShard is one Collect worker's private state: its simulation
+// runner, its partial Result and its bounded top-K heap.
+type runShard struct {
+	r   *fileRunner
+	res Result
+	top *topK
+}
+
 // Run simulates the transfer of every file that w yields and inspects
-// every splice of adjacent segments.  Files are processed in parallel;
-// the result is deterministic because per-file state is independent and
+// every splice of adjacent segments.  It is one Collect pass: each
+// worker runs files (compressing them first under Options.Compress) into
+// a private runShard, and the shards merge once after the walk drains.
+// The result is deterministic because per-file state is independent and
 // aggregation is commutative.
-//
-// Aggregation is sharded: each worker accumulates into a private
-// Result and a bounded top-K heap (TrackWorst entries), holding no lock
-// on the per-file path; the shards merge once after the walk drains.
 // ctx cancels the run between files; the partial result and ctx.Err()
 // are returned.
 func Run(ctx context.Context, w corpus.Walker, name string, opt Options) (Result, error) {
-	nw := opt.workers()
-	type job struct {
-		path string
-		data []byte
-	}
-	jobs := make(chan job, nw)
-	shards := make([]Result, nw)
-	heaps := make([]*topK, nw)
-	var wg sync.WaitGroup
-
-	for i := 0; i < nw; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			r := newFileRunner(opt)
-			shard := &shards[id]
-			h := newTopK(opt.TrackWorst)
-			for j := range jobs {
-				counts, packets := r.run(j.data)
-				shard.Counts.Add(counts)
-				shard.Files++
-				shard.Packets += packets
-				shard.Bytes += uint64(len(j.data))
-				opt.Progress.Observe(len(j.data))
-				if opt.TrackWorst > 0 && counts.Remaining > 0 {
-					h.offer(FileMisses{
-						Path:      j.path,
-						Remaining: counts.Remaining,
-						Missed:    counts.MissedByChecksum,
-					})
-				}
-			}
-			heaps[id] = h
-		}(i)
-	}
-
-	err := w.Walk(func(path string, data []byte) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if opt.Compress {
-			data = corpus.Compress(data)
-		}
-		jobs <- job{path: path, data: data}
-		return nil
-	})
-	close(jobs)
-	wg.Wait()
-
-	res := Result{System: name}
-	merged := newTopK(opt.TrackWorst)
-	for i := range shards {
-		res.Counts.Add(shards[i].Counts)
-		res.Files += shards[i].Files
-		res.Packets += shards[i].Packets
-		res.Bytes += shards[i].Bytes
-		merged.merge(heaps[i])
-	}
+	var paths *pathLog
 	if opt.TrackWorst > 0 {
-		res.WorstFiles = merged.sorted()
+		paths = &pathLog{Walker: w}
+		w = paths
 	}
+	s, err := Collect(ctx, w, CollectOptions{Workers: opt.Workers, Progress: opt.Progress},
+		func() *runShard { return &runShard{r: newFileRunner(opt), top: newTopK(opt.TrackWorst)} },
+		func(s *runShard, idx int, data []byte) {
+			if opt.Compress {
+				data = corpus.Compress(data)
+			}
+			counts, packets := s.r.run(data)
+			s.res.add(Result{Files: 1, Packets: packets, Bytes: uint64(len(data)), Counts: counts})
+			if paths == nil {
+				return
+			}
+			if path := paths.take(idx); counts.Remaining > 0 {
+				s.top.offer(FileMisses{
+					Path:      path,
+					Remaining: counts.Remaining,
+					Missed:    counts.MissedByChecksum,
+				})
+			}
+		},
+		func(dst, src *runShard) {
+			dst.res.add(src.res)
+			dst.top.merge(src.top)
+		},
+	)
+	res := s.res
+	res.System = name
+	res.WorstFiles = s.top.sorted()
 	return res, err
+}
+
+// pathLog is a Walker that records every path it yields by walk order,
+// which is the index Collect hands each file: the file callback carries
+// no path, but the top-K heap breaks ties on one.  Each entry is freed
+// when its file is taken, so the log holds only the files in flight.
+type pathLog struct {
+	corpus.Walker
+	mu    sync.Mutex
+	n     int
+	paths map[int]string
+}
+
+func (l *pathLog) Walk(fn func(path string, data []byte) error) error {
+	l.paths = make(map[int]string)
+	return l.Walker.Walk(func(path string, data []byte) error {
+		l.mu.Lock()
+		l.paths[l.n] = path
+		l.n++
+		l.mu.Unlock()
+		return fn(path, data)
+	})
+}
+
+// take returns and forgets the path of the idx'th file walked.
+func (l *pathLog) take(idx int) string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	path := l.paths[idx]
+	delete(l.paths, idx)
+	return path
 }
 
 // fileRunner holds one worker's reusable simulation state: the splice

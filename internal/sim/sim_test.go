@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"realsum/internal/algo"
@@ -48,21 +49,59 @@ func TestRunCountsFilesAndPackets(t *testing.T) {
 	}
 }
 
+// twiceWalker yields every file of fs twice, the copy first and under a
+// name that sorts after the original, so identical files tie on Missed
+// and WorstFiles must break the ties on path, not on walk order.
+type twiceWalker struct{ fs *corpus.FS }
+
+func (w twiceWalker) Walk(fn func(string, []byte) error) error {
+	return w.fs.Walk(func(path string, data []byte) error {
+		if err := fn(path+"~copy", data); err != nil {
+			return err
+		}
+		return fn(path, data)
+	})
+}
+
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	fs := tiny(2, corpus.GmonOut, 6, 2048)
-	opt := Options{CheckCRC: true}
-	opt.Workers = 1
-	a, err := Run(ctx(), fs, "x", opt)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		w    corpus.Walker
+		opt  Options
+	}{
+		{"crc", tiny(2, corpus.GmonOut, 6, 2048), Options{CheckCRC: true}},
+		{"compress-worst", twiceWalker{tiny(2, corpus.CSource, 6, 4096)}, Options{Compress: true, TrackWorst: 5}},
 	}
-	opt.Workers = 8
-	b, err := Run(ctx(), fs, "x", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Counts != b.Counts || a.Packets != b.Packets {
-		t.Errorf("worker count changed results:\n1: %+v\n8: %+v", a.Counts, b.Counts)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			opt := c.opt
+			opt.Workers = 1
+			base, err := Run(ctx(), c.w, "x", opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base.Files == 0 || base.Total == 0 {
+				t.Fatalf("nothing simulated: %+v", base)
+			}
+			if opt.TrackWorst > 0 {
+				if base.Files != 12 || len(base.WorstFiles) != 5 {
+					t.Fatalf("Files = %d, WorstFiles = %d; want 12, 5", base.Files, len(base.WorstFiles))
+				}
+				if base.WorstFiles[0].Missed != base.WorstFiles[1].Missed {
+					t.Fatalf("corpus has no tie on Missed at the top: %+v", base.WorstFiles)
+				}
+			}
+			for _, n := range []int{2, 8} {
+				opt.Workers = n
+				got, err := Run(ctx(), c.w, "x", opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, base) {
+					t.Errorf("workers=%d changed results:\n1: %+v\n%d: %+v", n, base, n, got)
+				}
+			}
+		})
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: vet, build, full test suite, the race detector over the
 # concurrent packages, the workers-determinism guarantees and the CRC
-# kernel layer, and a small-scale smoke of the benchmark JSON emitters.
+# kernel layer, the bench/ harness tests, and a small-scale smoke of the
+# benchmark JSON emitters.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -179,13 +180,13 @@ RETRANS
 kill -INT "$ckpid"
 wait "$ckpid" || { echo "cksumd did not exit 0 after SIGINT"; exit 1; }
 
-echo "== bench smoke (splice + dist + netsim, scale 0.02) =="
-go run ./cmd/paper -benchjson "$tmp/BENCH_splice.json" -scale 0.02 -benchiters 1
-go run ./cmd/paper -benchdistjson "$tmp/BENCH_dist.json" -scale 0.02 -benchiters 1
+echo "== bench harness tests (splice-tables, dist-passes and the rest) =="
+# bench/ is its own module, so the root ./... run above skips it.
+(cd bench && go test ./...)
+
+echo "== benchnetsim smoke (scale 0.02) =="
 go run ./cmd/paper -benchnetsimjson "$tmp/BENCH_netsim.json" -scale 0.02 -benchiters 1
-for f in BENCH_splice.json BENCH_dist.json BENCH_netsim.json; do
-    test -s "$tmp/$f" || { echo "missing $f"; exit 1; }
-done
+test -s "$tmp/BENCH_netsim.json" || { echo "missing BENCH_netsim.json"; exit 1; }
 grep -q '"retrans": true' "$tmp/BENCH_netsim.json" \
     || { echo "BENCH_netsim.json missing the retransmission-loop records"; exit 1; }
 grep -q '"retrans_mean_tx_per_pdu"' "$tmp/BENCH_netsim.json" \
