@@ -1,10 +1,11 @@
 // Package realsum's root benchmark harness regenerates every table and
 // figure of the paper's evaluation (one Benchmark per experiment) plus
-// the §2 throughput comparison and the design-choice ablations called
-// out in DESIGN.md.  Each benchmark iteration runs the complete
-// experiment at a reduced corpus scale and reports the headline shape
-// metric via b.ReportMetric, so `go test -bench=.` both times the
-// harness and prints the reproduced results.
+// the design-choice ablations called out in DESIGN.md; the §2
+// throughput comparison is BenchmarkSum in internal/algo.  Each
+// benchmark iteration runs the complete experiment at a reduced corpus
+// scale and reports the headline shape metric via b.ReportMetric, so
+// `go test -bench=.` both times the harness and prints the reproduced
+// results.
 //
 // The full-scale numbers live in EXPERIMENTS.md and come from
 // `go run ./cmd/paper`.
@@ -12,13 +13,13 @@ package realsum
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"realsum/internal/corpus"
 	"realsum/internal/crc"
 	"realsum/internal/errmodel"
 	"realsum/internal/experiments"
-	"realsum/internal/fletcher"
 	"realsum/internal/inet"
 	"realsum/internal/splice"
 	"realsum/internal/stats"
@@ -216,7 +217,7 @@ func benchPathological(b *testing.B, which string) {
 	for i := 0; i < b.N; i++ {
 		rows := experiments.Pathological(experiments.Config{Scale: 0.25})
 		for _, r := range rows {
-			if !containsStr(r.Corpus, which) {
+			if !strings.Contains(r.Corpus, which) {
 				continue
 			}
 			tcp, f255, f256 := r.Get("tcp"), r.Get("f255"), r.Get("f256")
@@ -225,76 +226,6 @@ func benchPathological(b *testing.B, which string) {
 			b.ReportMetric(f256.MissRate(f256.MissedByChecksum), "f256-miss-rate")
 		}
 	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------
-// §2 throughput claims: "the TCP checksum requires one or two additions
-// per machine word... Fletcher's sum requires two additions per byte...
-// measurements have typically shown the TCP checksum to be two to four
-// times faster."
-
-// sinks defeat dead-code elimination in the throughput benches.
-var (
-	sinkU16  uint16
-	sinkU64  uint64
-	sinkPair fletcher.Pair
-)
-
-func benchThroughput(b *testing.B, n int, f func(data []byte)) {
-	b.Helper()
-	data := make([]byte, n)
-	for i := range data {
-		data[i] = byte(i * 131)
-	}
-	b.SetBytes(int64(n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f(data)
-	}
-}
-
-func BenchmarkThroughputTCP_256(b *testing.B) {
-	benchThroughput(b, 256, func(d []byte) { sinkU16 = inet.Sum(d) })
-}
-func BenchmarkThroughputTCP_1500(b *testing.B) {
-	benchThroughput(b, 1500, func(d []byte) { sinkU16 = inet.Sum(d) })
-}
-func BenchmarkThroughputTCP_64K(b *testing.B) {
-	benchThroughput(b, 64*1024, func(d []byte) { sinkU16 = inet.Sum(d) })
-}
-func BenchmarkThroughputFletcher255_256(b *testing.B) {
-	benchThroughput(b, 256, func(d []byte) { sinkPair = fletcher.Mod255.Sum(d) })
-}
-func BenchmarkThroughputFletcher255_1500(b *testing.B) {
-	benchThroughput(b, 1500, func(d []byte) { sinkPair = fletcher.Mod255.Sum(d) })
-}
-func BenchmarkThroughputFletcher256_1500(b *testing.B) {
-	benchThroughput(b, 1500, func(d []byte) { sinkPair = fletcher.Mod256.Sum(d) })
-}
-func BenchmarkThroughputFletcher255_64K(b *testing.B) {
-	benchThroughput(b, 64*1024, func(d []byte) { sinkPair = fletcher.Mod255.Sum(d) })
-}
-
-var crc32tab = crc.New(crc.CRC32)
-var crc10tab = crc.New(crc.CRC10)
-
-func BenchmarkThroughputCRC32_1500(b *testing.B) {
-	benchThroughput(b, 1500, func(d []byte) { sinkU64 = crc32tab.Checksum(d) })
-}
-func BenchmarkThroughputCRC32_64K(b *testing.B) {
-	benchThroughput(b, 64*1024, func(d []byte) { sinkU64 = crc32tab.Checksum(d) })
-}
-func BenchmarkThroughputCRC10_1500(b *testing.B) {
-	benchThroughput(b, 1500, func(d []byte) { sinkU64 = crc10tab.Checksum(d) })
 }
 
 // ---------------------------------------------------------------------
@@ -331,6 +262,7 @@ func BenchmarkAblation_PartialVsFull(b *testing.B) {
 	})
 	// ...vs the naive cost model: 924 splices × recomputing sum+CRC
 	// over the full 336-byte PDU each.
+	crc32tab := crc.New(crc.CRC32)
 	b.Run("full-recompute", func(b *testing.B) {
 		pdu := make([]byte, 7*48)
 		copy(pdu, p1)

@@ -4,13 +4,11 @@
 //
 // Usage:
 //
-//	cksum [-a <name>|all] [-kernel nguyen] [file ...]
+//	cksum [-a <name>|all] [file ...]
 //
 // The algorithm set comes from the internal/algo registry; run with
 // -a list to see the names.  With no files, reads standard input.
 // With -a all (the default), prints every algorithm for each input.
-// -kernel pins the CRC bulk engine (slicing8, scalar, chorba, nguyen,
-// or auto) instead of the default verified per-algorithm race.
 package main
 
 import (
@@ -25,15 +23,7 @@ import (
 
 func main() {
 	algName := flag.String("a", "all", "algorithm name, \"all\", or \"list\"")
-	kernel := flag.String("kernel", "", "force a CRC bulk kernel (slicing8, scalar, chorba, nguyen, or auto; default: verified per-algorithm racing)")
 	flag.Parse()
-
-	if *kernel != "" {
-		if err := algo.SetCRCKernel(*kernel); err != nil {
-			fmt.Fprintf(os.Stderr, "cksum: %v\n", err)
-			os.Exit(2)
-		}
-	}
 
 	if *algName == "list" {
 		fmt.Println(strings.Join(algo.Names(), "\n"))

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
@@ -40,89 +39,4 @@ func runCensus(ctx context.Context, scale float64, seed uint64, workers int, pro
 	fmt.Println(res.Report())
 	fmt.Fprintf(os.Stderr, "[census done in %v]\n", time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// benchCensusRecord is one line of BENCH_census.json: one candidate's
-// verdict in both lanes — the uniform-assumption algebra next to the
-// measured-corpus numbers — plus the run throughput so the file also
-// tracks the census's own cost.
-type benchCensusRecord struct {
-	Name  string  `json:"name"`
-	Scale float64 `json:"scale"`
-	Width uint8   `json:"width"`
-	Poly  uint64  `json:"poly"`
-	Note  string  `json:"note"`
-
-	// Uniform lane: the order of x (0 = beyond the search horizon), the
-	// weight-2/3 spectrum at the reference block length, the collision
-	// floor and the BSC bound.
-	Ord      uint64  `json:"ord"`
-	A2       uint64  `json:"a2"`
-	A3       uint64  `json:"a3"`
-	UniformP float64 `json:"uniform_p"`
-	BSCP     float64 `json:"bsc_p"`
-
-	// Corpus lane: injected miss counts over the fault battery and the
-	// measured-mix reweighting of the analytic coverage.
-	Corrupted  uint64  `json:"corrupted"`
-	Undetected uint64  `json:"undetected"`
-	MissRate   float64 `json:"miss_rate"`
-	MeasuredP  float64 `json:"measured_p"`
-
-	// The three rankings (1 = best) and the run-wide inversion count,
-	// repeated on every record like the shared bench fields elsewhere.
-	RankUniform  int     `json:"rank_uniform"`
-	RankMeasured int     `json:"rank_measured"`
-	RankInjected int     `json:"rank_injected"`
-	Inversions   int     `json:"inversions"`
-	TrialsPerS   float64 `json:"trials_per_s"`
-}
-
-// runBenchCensusJSON runs the census once and writes one record per
-// candidate to path.
-func runBenchCensusJSON(ctx context.Context, path string, scale float64, seed uint64) error {
-	start := time.Now()
-	res, err := census.Run(ctx, census.Config{Walker: censusWalker(scale, seed), Seed: seed})
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start).Seconds()
-	var trials uint64
-	for i := range res.Tally.Channels {
-		trials += res.Tally.Channels[i].Trials
-	}
-	records := make([]benchCensusRecord, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		miss, _ := row.MissRate()
-		records = append(records, benchCensusRecord{
-			Name:         "census_" + row.Key,
-			Scale:        scale,
-			Width:        row.Params.Width,
-			Poly:         row.Params.Poly,
-			Note:         row.Note,
-			Ord:          row.Ord,
-			A2:           row.A2,
-			A3:           row.A3,
-			UniformP:     row.UniformP,
-			BSCP:         row.BSCP,
-			Corrupted:    row.Corrupted,
-			Undetected:   row.Undetected,
-			MissRate:     miss,
-			MeasuredP:    row.MeasuredP,
-			RankUniform:  row.UniformRank,
-			RankMeasured: row.MeasuredRank,
-			RankInjected: row.InjectedRank,
-			Inversions:   len(res.Inversions),
-			TrialsPerS:   float64(trials) / elapsed,
-		})
-		fmt.Fprintf(os.Stderr, "[benchcensus %s: miss %d/%d, ranks %d/%d/%d]\n",
-			row.Key, row.Undetected, row.Corrupted,
-			row.UniformRank, row.MeasuredRank, row.InjectedRank)
-	}
-	out, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	return os.WriteFile(path, out, 0o644)
 }

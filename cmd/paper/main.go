@@ -7,11 +7,10 @@
 //	paper [-scale 1.0] [-run table1,figure2,...] [-workers N] [-seed S] [-progress]
 //	paper -netsim [-scale 1.0] [-workers N] [-seed S]
 //	paper -census [-scale 1.0] [-workers N] [-seed S]
-//	paper -benchcensusjson BENCH_census.json [-scale 0.05]
-//	paper -benchnetsimjson BENCH_netsim.json [-scale 0.05] [-benchiters 3] [-placement e2e,segment]
-//	paper -benchalgojson BENCH_algo.json [-benchiters 3] [-kernel nguyen]
+//	paper -list
 //
-// With no -run flag every experiment runs in paper order.  The -scale
+// With no -run flag every experiment runs in paper order; an unknown
+// -run name is an error (exit 2) that lists the known ones.  The -scale
 // flag multiplies the corpus sizes (1.0 ≈ a few MB per file system; the
 // paper's originals were GBs — scale up if you have the minutes).
 // -progress prints live throughput to stderr; -workers bounds per-pass
@@ -46,20 +45,11 @@
 // and the 5G NR family — and the report contrasts the two rankings,
 // calling out any inversion explicitly.  (This is distinct from
 // -run census, the byte-value data census of the corpus itself.)
-// -benchcensusjson writes the same run as one JSON record per
-// candidate, carrying both lanes' numbers.
 //
-// The Table 1–3 splice simulations and the distribution passes
-// (Figures 2–3, Tables 4–5) are timed by the bench/ harness
-// (bash bench/run.sh --workload splice-tables|dist-passes), which also
-// checks their output.  -benchalgojson times every registry algorithm's
-// one-shot checksum at cell, MTU and bulk sizes, recording the raced CRC
-// kernel and its speedup over the slicing-by-8 baseline.
-//
-// -kernel pins the CRC bulk engine (slicing8, scalar, chorba, nguyen,
-// or auto) for every table the run builds, overriding the verified
-// per-algorithm race — the reproducibility knob for comparing kernel
-// generations on the same hardware.
+// The passes are timed by the bench/ harness (bash bench/run.sh
+// --workload splice-tables|dist-passes|netsim-battery|census), which
+// also checks their output; `go test -bench BenchmarkSum ./internal/algo`
+// times each registry algorithm's one-shot checksum.
 package main
 
 import (
@@ -68,74 +58,68 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
-	"realsum/internal/algo"
-	"realsum/internal/crc"
 	"realsum/internal/experiments"
-	"realsum/internal/netsim"
-	"realsum/internal/scenario"
 	"realsum/internal/sim"
 )
 
+// experimentNames lists every -run experiment in paper order.
+var experimentNames = []string{
+	"table1", "table2", "table3", "figure2", "figure3", "table4",
+	"table5", "table6", "table7", "table8", "table9", "table10",
+	"effectivebits", "ablations", "pathological", "endtoend", "adler", "census", "locality", "fragswap",
+	"netsim",
+}
+
+// selectExperiments resolves the -run list, or -netsim as its shorthand
+// for "netsim", into the set of experiments to run; an empty list
+// selects all of them.  Names are matched case-insensitively after
+// trimming spaces.  Any other name is an error that quotes every
+// unknown entry and lists the known ones.
+func selectExperiments(run string, netsimOnly bool) (map[string]bool, error) {
+	if netsimOnly {
+		run = "netsim"
+	}
+	want := map[string]bool{}
+	if run == "" {
+		for _, n := range experimentNames {
+			want[n] = true
+		}
+		return want, nil
+	}
+	var unknown []string
+	for _, n := range strings.Split(run, ",") {
+		n = strings.TrimSpace(strings.ToLower(n))
+		if !slices.Contains(experimentNames, n) {
+			unknown = append(unknown, strconv.Quote(n))
+			continue
+		}
+		want[n] = true
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown experiment %s (known: %s)",
+			strings.Join(unknown, ", "), strings.Join(experimentNames, ", "))
+	}
+	return want, nil
+}
+
 func main() {
 	scale := flag.Float64("scale", 1.0, "corpus scale factor")
-	run := flag.String("run", "", "comma-separated experiments (default: all): table1..table10, figure2, figure3, effectivebits, ablations, pathological")
+	run := flag.String("run", "", "comma-separated experiments (default: all; -list prints the names)")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	workers := flag.Int("workers", 0, "parallel workers per pass (default GOMAXPROCS; output is identical at any count)")
 	seed := flag.Uint64("seed", 0, "root seed for every randomized pass: corpus generation, local any-cells sampling, end-to-end loss and netsim trials all derive from it (0 = the historical defaults the committed goldens use)")
 	netsimOnly := flag.Bool("netsim", false, "run only the netsim fault-injection pass (shorthand for -run netsim)")
 	censusOnly := flag.Bool("census", false, "run the polynomial-selection census: analytic uniform-assumption P_ud vs injected miss rate over the measured corpus for the CRC candidate slate (IEEE, Castagnoli, Koopman, 5G NR), then exit")
-	benchcensusjson := flag.String("benchcensusjson", "", "run the polynomial census and write one record per candidate (uniform-lane algebra vs measured-corpus miss rates and ranks) to this file (e.g. BENCH_census.json), then exit")
 	progress := flag.Bool("progress", false, "print live throughput (files, MB, MB/s) to stderr while experiments run")
-	benchnetsimjson := flag.String("benchnetsimjson", "", "time the netsim fault-injection pipeline per (fault model × checksum placement) and write trials/sec, MB/s and allocs/trial records to this file (e.g. BENCH_netsim.json), then exit")
-	placement := flag.String("placement", "", "comma-separated checksum placements for -benchnetsimjson (default: all of "+strings.Join(netsim.PlacementNames(), ",")+")")
-	benchalgojson := flag.String("benchalgojson", "", "time every registry algorithm's one-shot checksum at cell/MTU/bulk sizes and write ns/op, GB/s, allocs/op and kernel-speedup records to this file (e.g. BENCH_algo.json), then exit")
-	kernel := flag.String("kernel", "", "force the CRC bulk kernel for the whole run (one of "+strings.Join(crc.KernelNames(), ", ")+", or auto; default: verified per-algorithm racing)")
-	benchIters := flag.Int("benchiters", 3, "iterations per -benchnetsimjson/-benchalgojson record")
 	flag.Parse()
-
-	if *kernel != "" {
-		// SetCRCKernel repoints (and validates against) the registry
-		// algorithms built at init; the environment variable carries the
-		// choice to every table the experiments construct afterwards.
-		if err := algo.SetCRCKernel(*kernel); err != nil {
-			fmt.Fprintf(os.Stderr, "paper: %v\n", err)
-			os.Exit(2)
-		}
-		os.Setenv(crc.KernelEnv, *kernel)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	if *benchnetsimjson != "" || *benchalgojson != "" || *benchcensusjson != "" {
-		if *benchnetsimjson != "" {
-			placements, err := scenario.ParsePlacements(*placement)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "paper: %v\n", err)
-				os.Exit(2)
-			}
-			if err := runBenchNetsimJSON(ctx, *benchnetsimjson, *scale, *seed, *benchIters, placements); err != nil {
-				fmt.Fprintf(os.Stderr, "paper: benchnetsimjson: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *benchalgojson != "" {
-			if err := runBenchAlgoJSON(*benchalgojson, *benchIters); err != nil {
-				fmt.Fprintf(os.Stderr, "paper: benchalgojson: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *benchcensusjson != "" {
-			if err := runBenchCensusJSON(ctx, *benchcensusjson, *scale, *seed); err != nil {
-				fmt.Fprintf(os.Stderr, "paper: benchcensusjson: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
 
 	if *censusOnly {
 		var prog *sim.Progress
@@ -150,29 +134,14 @@ func main() {
 		return
 	}
 
-	names := []string{
-		"table1", "table2", "table3", "figure2", "figure3", "table4",
-		"table5", "table6", "table7", "table8", "table9", "table10",
-		"effectivebits", "ablations", "pathological", "endtoend", "adler", "census", "locality", "fragswap",
-		"netsim",
-	}
 	if *list {
-		fmt.Println(strings.Join(names, "\n"))
+		fmt.Println(strings.Join(experimentNames, "\n"))
 		return
 	}
-
-	want := map[string]bool{}
-	if *netsimOnly {
-		*run = "netsim"
-	}
-	if *run == "" {
-		for _, n := range names {
-			want[n] = true
-		}
-	} else {
-		for _, n := range strings.Split(*run, ",") {
-			want[strings.TrimSpace(strings.ToLower(n))] = true
-		}
+	want, err := selectExperiments(*run, *netsimOnly)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paper: %v\n", err)
+		os.Exit(2)
 	}
 
 	cfg := experiments.Config{Scale: *scale, Workers: *workers, Seed: *seed, Ctx: ctx}

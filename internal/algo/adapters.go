@@ -222,12 +222,6 @@ func (c crcAlgo) Combine(a, b uint64, lenA, lenB int) uint64 {
 	return c.t.Combine(a, b, lenB)
 }
 
-// Kernel, Kernels and SetKernel expose the table's bulk-engine layer —
-// the KernelControl surface SetCRCKernel and the -kernel flags drive.
-func (c crcAlgo) Kernel() string              { return c.t.Kernel() }
-func (c crcAlgo) Kernels() []string           { return c.t.Kernels() }
-func (c crcAlgo) SetKernel(name string) error { return c.t.SetKernel(name) }
-
 type crcDigest struct{ d *crc.Digest }
 
 func (c *crcDigest) Write(p []byte) (int, error) { return c.d.Write(p) }

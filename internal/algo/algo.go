@@ -17,10 +17,7 @@ package algo
 import (
 	"fmt"
 	"io"
-	"slices"
 	"sync"
-
-	"realsum/internal/crc"
 )
 
 // Algorithm is one checksum or CRC under a uniform calling convention.
@@ -60,48 +57,8 @@ type Digest interface {
 // rely on: one virtual call per buffer, no Digest construction, and
 // zero steady-state allocations for every registry algorithm (pinned by
 // TestSumZeroAlloc).  Bulk CRC input dispatches through the raced
-// kernel layer underneath (see internal/crc and SetCRCKernel).
+// kernel layer underneath (see internal/crc).
 func Sum(a Algorithm, data []byte) uint64 { return a.Sum(data) }
-
-// KernelControl is implemented by algorithms whose bulk engine is
-// selectable at runtime — the CRC family's kernel layer.  Reconfigure
-// before sharing an algorithm across goroutines.
-type KernelControl interface {
-	// Kernel names the bulk engine in use ("slicing8", "nguyen", ...).
-	Kernel() string
-	// Kernels lists the engines available for this algorithm.
-	Kernels() []string
-	// SetKernel forces the named engine after differential
-	// verification against the scalar oracle; "auto" restores racing.
-	SetKernel(name string) error
-}
-
-// SetCRCKernel points every registered CRC algorithm at the named bulk
-// kernel, with the same semantics as the REALSUM_CRC_KERNEL environment
-// variable: "auto" (or "") restores per-table racing, and algorithms
-// whose parameterization lacks the named kernel fall back to
-// slicing-by-8 rather than erroring, so one flag value applies across
-// the whole registry.  Unknown kernel names and verification failures
-// error.
-func SetCRCKernel(name string) error {
-	if name != "auto" && name != "" && !slices.Contains(crc.KernelNames(), name) {
-		return fmt.Errorf("algo: unknown CRC kernel %q (known: %v)", name, crc.KernelNames())
-	}
-	for _, a := range All() {
-		kc, ok := a.(KernelControl)
-		if !ok {
-			continue
-		}
-		want := name
-		if want != "auto" && want != "" && !slices.Contains(kc.Kernels(), want) {
-			want = "slicing8"
-		}
-		if err := kc.SetKernel(want); err != nil {
-			return fmt.Errorf("algo: %s: %w", a.Name(), err)
-		}
-	}
-	return nil
-}
 
 // Combiner is implemented by algorithms whose checksum over a
 // concatenation A‖B is recoverable from the standalone checksums of A

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -138,43 +139,29 @@ func TestSumZeroAlloc(t *testing.T) {
 	_ = sink
 }
 
-// TestKernelControl covers the registry-wide kernel override: CRC
-// algorithms expose KernelControl, checksums do not, SetCRCKernel
-// applies a forced kernel (falling back to slicing-by-8 where the
-// parameterization lacks it) and "auto" restores racing — with the
-// checksum value unchanged throughout.
-func TestKernelControl(t *testing.T) {
-	rng := rand.New(rand.NewPCG(6, 6))
-	data := randData(rng, 8192)
-	want := map[string]uint64{}
+// BenchmarkSum times every registry algorithm's one-shot Sum at an ATM
+// cell payload's worth, an Ethernet MTU and bulk: the §2 cost model
+// ("measurements have typically shown the TCP checksum to be two to
+// four times faster" than Fletcher's).  CRC sub-benchmarks are named
+// algorithm/kernel/size after the bulk engine the table raced to, so a
+// run records which kernel produced each number.
+func BenchmarkSum(b *testing.B) {
+	data := randData(rand.New(rand.NewPCG(42, 42)), 64<<10)
 	for _, a := range All() {
-		want[a.Name()] = a.Sum(data)
-	}
-	if _, ok := MustLookup("crc32").(KernelControl); !ok {
-		t.Fatal("crc32 does not implement KernelControl")
-	}
-	if _, ok := MustLookup("tcp").(KernelControl); ok {
-		t.Fatal("tcp implements KernelControl")
-	}
-	if err := SetCRCKernel("bogus"); err == nil {
-		t.Error("SetCRCKernel(bogus) succeeded")
-	}
-	for _, kn := range append(crc.KernelNames(), "auto") {
-		if err := SetCRCKernel(kn); err != nil {
-			t.Fatalf("SetCRCKernel(%s): %v", kn, err)
+		name := a.Name()
+		if c, ok := a.(crcAlgo); ok {
+			name += "/" + c.t.Kernel()
 		}
-		if kn == "nguyen" {
-			if got := MustLookup("crc32").(KernelControl).Kernel(); got != "nguyen" {
-				t.Errorf("crc32 kernel = %s after SetCRCKernel(nguyen)", got)
-			}
-			if got := MustLookup("crc16").(KernelControl).Kernel(); got != "slicing8" {
-				t.Errorf("crc16 kernel = %s after SetCRCKernel(nguyen), want slicing8 fallback", got)
-			}
-		}
-		for _, a := range All() {
-			if got := a.Sum(data); got != want[a.Name()] {
-				t.Errorf("%s under kernel %s: Sum %#x != %#x", a.Name(), kn, got, want[a.Name()])
-			}
+		for _, n := range []int{64, 1500, 64 << 10} {
+			d := data[:n]
+			b.Run(fmt.Sprintf("%s/%d", name, n), func(b *testing.B) {
+				Sum(a, d) // warm kernel scratch pools before b.Loop starts the timer
+				b.SetBytes(int64(n))
+				b.ReportAllocs()
+				for b.Loop() {
+					Sum(a, d)
+				}
+			})
 		}
 	}
 }

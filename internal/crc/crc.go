@@ -11,9 +11,8 @@
 // (kernel.go): byte-at-a-time scalar, slicing-by-8, the table-free
 // chorba fold and the wide-word nguyen recurrence.  New verifies each
 // candidate against the scalar oracle and races the survivors, so
-// callers get the fastest correct engine automatically; SetKernel and
-// the REALSUM_CRC_KERNEL environment variable pin one for reproducible
-// measurement.
+// callers get the fastest correct engine automatically; SetKernel pins
+// one on a table for reproducible measurement.
 //
 // The CRC-32 path is verified bit-for-bit against the standard library's
 // hash/crc32 and against the published catalog check values.

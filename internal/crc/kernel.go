@@ -2,7 +2,6 @@ package crc
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 )
@@ -14,9 +13,9 @@ import (
 // a pinned vector set and then races the verified ones on bulk input,
 // so every consumer of a Table (splice enumeration, sim.Collect,
 // netsim trials) gets the fastest correct kernel with zero call-site
-// changes.  Selection is cached per Params and overridable through the
-// REALSUM_CRC_KERNEL environment variable or Table.SetKernel (the
-// -kernel flag on cmd/paper and cmd/cksum) for reproducible runs.
+// changes.  Selection is cached per Params.  Table.SetKernel pins one
+// verified engine on one table, for the differential tests;
+// BenchmarkKernels compares the engines on the same hardware.
 
 // kernelID names one bulk engine.  The zero value is slicing-by-8, the
 // pre-kernel-layer default, so a zero Table behaves as before.
@@ -31,15 +30,6 @@ const (
 )
 
 var kernelNames = [numKernels]string{"slicing8", "scalar", "chorba", "nguyen"}
-
-// KernelEnv is the environment variable that forces a kernel by name
-// for every subsequently built Table ("auto" or empty restores racing;
-// a kernel unavailable for some parameterization falls back to
-// slicing-by-8 there).
-const KernelEnv = "REALSUM_CRC_KERNEL"
-
-// KernelNames lists every kernel the engine knows, selected or not.
-func KernelNames() []string { return append([]string(nil), kernelNames[:]...) }
 
 func kernelByName(name string) (kernelID, bool) {
 	for id, n := range kernelNames {
@@ -85,7 +75,7 @@ func (t *Table) SetKernel(name string) error {
 	}
 	k, ok := kernelByName(name)
 	if !ok {
-		return fmt.Errorf("crc: unknown kernel %q (known: %v)", name, KernelNames())
+		return fmt.Errorf("crc: unknown kernel %q (known: %v)", name, kernelNames)
 	}
 	if (k == kernelChorba || k == kernelNguyen) && t.sp == nil {
 		return fmt.Errorf("crc: kernel %q unavailable for %s (no sparse multiple catalogued)", name, t.params.Name)
@@ -199,19 +189,6 @@ var selCache sync.Map // Params -> kernelID
 var raceSink uint64
 
 func (t *Table) selectKernel() kernelID {
-	if name := os.Getenv(KernelEnv); name != "" && name != "auto" {
-		k, ok := kernelByName(name)
-		if !ok {
-			panic(fmt.Sprintf("crc: %s=%q names no kernel (known: %v)", KernelEnv, name, KernelNames()))
-		}
-		if (k == kernelChorba || k == kernelNguyen) && t.sp == nil {
-			return kernelSlicing8
-		}
-		if err := t.verifyKernel(k); err != nil {
-			panic(err)
-		}
-		return k
-	}
 	if t.sp == nil {
 		// Without a sparse multiple the only candidates are scalar and
 		// slicing-by-8; slicing dominates on bulk, and racing hundreds

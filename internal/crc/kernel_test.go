@@ -332,9 +332,9 @@ func FuzzKernels(f *testing.F) {
 	})
 }
 
-// BenchmarkKernels races the engines on bulk and MTU-sized input; the
-// BENCH_algo.json emitter is the committed record, this is the local
-// view.
+// BenchmarkKernels times every engine a parameterization supports on
+// MTU-sized and bulk input, side by side on the same hardware;
+// internal/algo's BenchmarkSum times the engine each table raced to.
 func BenchmarkKernels(b *testing.B) {
 	for _, p := range sparseParams() {
 		tab := New(p)

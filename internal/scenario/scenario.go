@@ -384,22 +384,3 @@ func placements(names []string) ([]netsim.Placement, error) {
 	}
 	return pls, nil
 }
-
-// ParseChannels resolves the comma-separated -channels flag value both
-// batch CLIs accept ("" = full battery).  This is the one home of the
-// parsing cmd/netsim and cmd/paper used to duplicate.
-func ParseChannels(csv string) ([]netsim.ChannelSpec, error) {
-	if csv == "" {
-		return nil, nil
-	}
-	return channelSpecs(strings.Split(csv, ","))
-}
-
-// ParsePlacements resolves the comma-separated -placement flag value
-// ("" = full battery).
-func ParsePlacements(csv string) ([]netsim.Placement, error) {
-	if csv == "" {
-		return nil, nil
-	}
-	return placements(strings.Split(csv, ","))
-}

@@ -251,25 +251,25 @@ func TestWalkerErrors(t *testing.T) {
 	}
 }
 
-// TestParseFlagHelpers covers the shared CLI parsing the two batch
-// binaries migrated onto.
+// TestParseFlagHelpers covers the name resolvers behind Validate and
+// Config.
 func TestParseFlagHelpers(t *testing.T) {
-	specs, err := ParseChannels("burst,drop")
+	specs, err := channelSpecs([]string{"burst", "drop"})
 	if err != nil || len(specs) != 2 || specs[0].Name != "drop" {
-		t.Errorf("ParseChannels = %v specs, err %v (want battery order drop,burst)", len(specs), err)
+		t.Errorf("channelSpecs = %v specs, err %v (want battery order drop,burst)", len(specs), err)
 	}
-	if specs, err := ParseChannels(""); specs != nil || err != nil {
-		t.Errorf("ParseChannels(\"\") = %v, %v, want nil default", specs, err)
+	if specs, err := channelSpecs(nil); specs != nil || err != nil {
+		t.Errorf("channelSpecs(nil) = %v, %v, want nil default", specs, err)
 	}
-	if _, err := ParseChannels("drop,zz"); err == nil || !strings.Contains(err.Error(), "unknown channels [zz]") {
-		t.Errorf("ParseChannels unknown error = %v", err)
+	if _, err := channelSpecs([]string{"drop", "zz"}); err == nil || !strings.Contains(err.Error(), "unknown channels [zz]") {
+		t.Errorf("channelSpecs unknown error = %v", err)
 	}
-	pls, err := ParsePlacements("segment")
+	pls, err := placements([]string{"segment"})
 	if err != nil || len(pls) != 1 || pls[0] != netsim.PlaceSegment {
-		t.Errorf("ParsePlacements = %v, %v", pls, err)
+		t.Errorf("placements = %v, %v", pls, err)
 	}
-	if _, err := ParsePlacements("e2e,nowhere"); err == nil || !strings.Contains(err.Error(), "unknown placements [nowhere]") {
-		t.Errorf("ParsePlacements unknown error = %v", err)
+	if _, err := placements([]string{"e2e", "nowhere"}); err == nil || !strings.Contains(err.Error(), "unknown placements [nowhere]") {
+		t.Errorf("placements unknown error = %v", err)
 	}
 	if m, err := ParseMode(""); m != netsim.ModeTCP || err != nil {
 		t.Errorf("ParseMode(\"\") = %v, %v", m, err)
