@@ -32,6 +32,13 @@ var benchScale = experiments.Config{Scale: 0.05}
 // distScale gives the distribution experiments enough blocks.
 var distScale = experiments.Config{Scale: 0.25}
 
+// checksumMissRate is the transport-checksum miss rate as a metric
+// value; a run with no remaining splices reports 0.
+func checksumMissRate(c splice.Counts) float64 {
+	rate, _ := c.MissRate(c.MissedByChecksum)
+	return rate
+}
+
 // ---------------------------------------------------------------------
 // Tables 1–3: the CRC + TCP splice classification per site.
 
@@ -115,8 +122,8 @@ func BenchmarkTable6_PredictVsActual(b *testing.B) {
 func BenchmarkTable7_Compressed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		plain, comp := experiments.Table7(benchScale)
-		b.ReportMetric(plain.MissRate(plain.MissedByChecksum), "plain-miss-rate")
-		b.ReportMetric(comp.MissRate(comp.MissedByChecksum), "compressed-miss-rate")
+		b.ReportMetric(checksumMissRate(plain.Counts), "plain-miss-rate")
+		b.ReportMetric(checksumMissRate(comp.Counts), "compressed-miss-rate")
 	}
 }
 
@@ -192,16 +199,16 @@ func BenchmarkEffectiveBits(b *testing.B) {
 func BenchmarkAblation_ZeroedIPHeader(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := experiments.Ablations(benchScale)
-		b.ReportMetric(d.Baseline.MissRate(d.Baseline.MissedByChecksum), "filled-miss-rate")
-		b.ReportMetric(d.ZeroIPHeader.MissRate(d.ZeroIPHeader.MissedByChecksum), "zeroed-miss-rate")
+		b.ReportMetric(checksumMissRate(d.Baseline.Counts), "filled-miss-rate")
+		b.ReportMetric(checksumMissRate(d.ZeroIPHeader.Counts), "zeroed-miss-rate")
 	}
 }
 
 func BenchmarkAblation_NoInvert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := experiments.Ablations(benchScale)
-		b.ReportMetric(d.Baseline.MissRate(d.Baseline.MissedByChecksum), "inverted-miss-rate")
-		b.ReportMetric(d.NoInvert.MissRate(d.NoInvert.MissedByChecksum), "noninverted-miss-rate")
+		b.ReportMetric(checksumMissRate(d.Baseline.Counts), "inverted-miss-rate")
+		b.ReportMetric(checksumMissRate(d.NoInvert.Counts), "noninverted-miss-rate")
 	}
 }
 
@@ -221,9 +228,9 @@ func benchPathological(b *testing.B, which string) {
 				continue
 			}
 			tcp, f255, f256 := r.Get("tcp"), r.Get("f255"), r.Get("f256")
-			b.ReportMetric(tcp.MissRate(tcp.MissedByChecksum), "tcp-miss-rate")
-			b.ReportMetric(f255.MissRate(f255.MissedByChecksum), "f255-miss-rate")
-			b.ReportMetric(f256.MissRate(f256.MissedByChecksum), "f256-miss-rate")
+			b.ReportMetric(checksumMissRate(tcp.Counts), "tcp-miss-rate")
+			b.ReportMetric(checksumMissRate(f255.Counts), "f255-miss-rate")
+			b.ReportMetric(checksumMissRate(f256.Counts), "f256-miss-rate")
 		}
 	}
 }

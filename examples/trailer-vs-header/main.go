@@ -43,13 +43,15 @@ func main() {
 		t.AddRow(e.name,
 			report.Count(e.res.Remaining),
 			report.Count(e.res.MissedByChecksum),
-			report.Percent(e.res.MissRate(e.res.MissedByChecksum)),
+			report.RatePercent(e.res.MissRate(e.res.MissedByChecksum)),
 			report.Count(e.res.IdenticalFailedChecksum))
 	}
 	fmt.Print(t.Render())
 
-	hr := hdr.MissRate(hdr.MissedByChecksum)
-	tr := trl.MissRate(trl.MissedByChecksum)
+	// With no remaining splices a rate is unknown; its 0 then prints
+	// neither comparison line below.
+	hr, _ := hdr.MissRate(hdr.MissedByChecksum)
+	tr, _ := trl.MissRate(trl.MissedByChecksum)
 	fmt.Printf("\nuniform-data expectation: %s\n", report.Percent(stats.UniformMissRate(16)))
 	if tr > 0 {
 		fmt.Printf("trailer improvement: %.1fx fewer misses\n", hr/tr)

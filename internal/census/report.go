@@ -98,9 +98,5 @@ func yesNo(b bool) string {
 }
 
 func missCell(row Row) string {
-	rate, ok := row.MissRate()
-	if !ok {
-		return "-"
-	}
-	return report.Percent(rate)
+	return report.RatePercent(row.MissRate())
 }

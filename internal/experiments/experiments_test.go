@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"realsum/internal/sim"
 )
 
 // tiny runs the sim-heavy experiments at 5% scale so the full suite
@@ -26,7 +28,7 @@ func TestTables123ShapeClaims(t *testing.T) {
 			t.Errorf("%s: no remaining splices", r.System)
 			continue
 		}
-		rate := r.MissRate(r.MissedByChecksum)
+		rate, _ := r.MissRate(r.MissedByChecksum)
 		if rate > worst {
 			worst = rate
 		}
@@ -203,8 +205,8 @@ func TestTable6Shape(t *testing.T) {
 
 func TestTable7CompressionRestoresUniformity(t *testing.T) {
 	plain, comp := Table7(tiny)
-	pr := plain.MissRate(plain.MissedByChecksum)
-	cr := comp.MissRate(comp.MissedByChecksum)
+	pr, _ := plain.MissRate(plain.MissedByChecksum)
+	cr, _ := comp.MissRate(comp.MissedByChecksum)
 	if pr > 0 && cr > pr {
 		t.Errorf("compression raised the miss rate: %.4g -> %.4g", pr, cr)
 	}
@@ -305,15 +307,38 @@ func TestEffectiveBitsHeadline(t *testing.T) {
 	}
 }
 
+// TestUnknownRatesRenderDash pins the honest-rate rule for the rows that
+// carry a splice miss rate out of splice.Counts: with no remaining
+// splice the rate is unknown and renders "-", not "0" or "inf" bits.
+func TestUnknownRatesRenderDash(t *testing.T) {
+	cells := func(report, system string) []string {
+		for _, line := range strings.Split(report, "\n") {
+			if f := strings.Fields(line); len(f) > 0 && f[0] == system {
+				return f
+			}
+		}
+		t.Fatalf("no %q row in:\n%s", system, report)
+		return nil
+	}
+	rows := EffectiveBits([]sim.Result{{System: "empty"}})
+	if f := cells(EffectiveBitsReport(rows), "empty"); f[1] != "-" || f[2] != "-" {
+		t.Errorf("effective-bits row %q, want rate and bits \"-\"", f)
+	}
+	frag := FragSwapReport([]FragSwapRow{{Algorithm: "tcp", FragMissRate: 0.5}})
+	if f := cells(frag, "tcp"); f[len(f)-1] != "-" {
+		t.Errorf("frag-swap row %q, want the AAL5 rate \"-\"", f)
+	}
+}
+
 func TestAblations(t *testing.T) {
 	d := Ablations(tiny)
-	zr := d.ZeroIPHeader.MissRate(d.ZeroIPHeader.MissedByChecksum)
-	br := d.Baseline.MissRate(d.Baseline.MissedByChecksum)
+	zr, _ := d.ZeroIPHeader.MissRate(d.ZeroIPHeader.MissedByChecksum)
+	br, _ := d.Baseline.MissRate(d.Baseline.MissedByChecksum)
 	if zr < br {
 		t.Errorf("§6.2: zeroed IP header rate %.4g below baseline %.4g", zr, br)
 	}
 	// §6.3: non-inversion makes little difference; allow a wide factor.
-	nr := d.NoInvert.MissRate(d.NoInvert.MissedByChecksum)
+	nr, _ := d.NoInvert.MissRate(d.NoInvert.MissedByChecksum)
 	if br > 0 && (nr > br*20 || br > nr*20+1) {
 		t.Errorf("§6.3: non-inverted rate %.4g wildly differs from baseline %.4g", nr, br)
 	}
@@ -336,8 +361,8 @@ func TestPathologicalCases(t *testing.T) {
 	// §5.5's dramatic case: on 0x00/0xFF bitmaps, Fletcher-255 performs
 	// WORSE than the TCP checksum.
 	f255res, tcpres := pbm.Get("f255"), pbm.Get("tcp")
-	f255 := f255res.MissRate(f255res.MissedByChecksum)
-	tcp := tcpres.MissRate(tcpres.MissedByChecksum)
+	f255, _ := f255res.MissRate(f255res.MissedByChecksum)
+	tcp, _ := tcpres.MissRate(tcpres.MissedByChecksum)
 	if f255 <= tcp {
 		t.Errorf("PBM corpus: Fletcher-255 rate %.4g not above TCP %.4g", f255, tcp)
 	}

@@ -166,6 +166,7 @@ type FragSwapRow struct {
 	Algorithm    string
 	FragMissRate float64 // same-offset fragment swaps (ipfrag model)
 	AAL5MissRate float64 // cell splices on the same corpus (Table 8 model)
+	AAL5OK       bool    // false when no splice remained: AAL5MissRate is unknown
 }
 
 // FragSwap runs the abstract's fragmentation-and-reassembly error
@@ -216,10 +217,12 @@ func FragSwap(cfg Config) []FragSwapRow {
 		if err != nil {
 			panic(err)
 		}
+		aal5, ok := res.MissRate(res.MissedByChecksum)
 		out = append(out, FragSwapRow{
 			Algorithm:    alg.String(),
 			FragMissRate: frag.MissRate(),
-			AAL5MissRate: res.MissRate(res.MissedByChecksum),
+			AAL5MissRate: aal5,
+			AAL5OK:       ok,
 		})
 	}
 	return out
@@ -232,7 +235,7 @@ func FragSwapReport(rows []FragSwapRow) string {
 		Headers: []string{"algorithm", "frag-swap miss", "AAL5-splice miss"},
 	}
 	for _, r := range rows {
-		t.AddRow(r.Algorithm, report.Percent(r.FragMissRate), report.Percent(r.AAL5MissRate))
+		t.AddRow(r.Algorithm, report.Percent(r.FragMissRate), report.RatePercent(r.AAL5MissRate, r.AAL5OK))
 	}
 	return t.Render() + "\nsame-offset substitution removes the inter-fragment colouring that cell\n" +
 		"splices exhibit; the TCP checksum misses both models at rates far above\n" +

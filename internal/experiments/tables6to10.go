@@ -142,7 +142,7 @@ func Table7Report(plain, compressed sim.Result) string {
 	for _, r := range []sim.Result{plain, compressed} {
 		t.AddRow(r.System, report.Count(r.Remaining),
 			report.Count(r.MissedByChecksum),
-			report.Percent(r.MissRate(r.MissedByChecksum)),
+			report.RatePercent(r.MissRate(r.MissedByChecksum)),
 			report.Percent(stats.UniformMissRate(16)))
 	}
 	return t.Render()
@@ -226,7 +226,7 @@ func Table8Report(rows []Table8Row) string {
 	for _, r := range rows {
 		for _, e := range r.Results {
 			t.AddRow(r.System, e.Label, report.Count(e.Res.MissedByChecksum),
-				report.Percent(e.Res.MissRate(e.Res.MissedByChecksum)))
+				report.RatePercent(e.Res.MissRate(e.Res.MissedByChecksum)))
 		}
 		t.AddRow("", "", "", "")
 	}
@@ -266,8 +266,8 @@ func Table9Report(rows []Table9Row) string {
 	}
 	for _, r := range rows {
 		t.AddRow(r.System,
-			report.Percent(r.Header.MissRate(r.Header.MissedByChecksum)),
-			report.Percent(r.Trailer.MissRate(r.Trailer.MissedByChecksum)),
+			report.RatePercent(r.Header.MissRate(r.Header.MissedByChecksum)),
+			report.RatePercent(r.Trailer.MissRate(r.Trailer.MissedByChecksum)),
 			report.Percent(stats.UniformMissRate(16)))
 	}
 	return t.Render()
@@ -313,8 +313,8 @@ func Table10Report(d Table10Data) string {
 		report.Percent(ratio(hID.IdenticalFailedChecksum, hID.Total)),
 		report.Percent(ratio(tID.IdenticalFailedChecksum, tID.Total)))
 	t.AddRow("Passes checksum, data changed (%)",
-		report.Percent(hID.MissRate(hID.MissedByChecksum)),
-		report.Percent(tID.MissRate(tID.MissedByChecksum)))
+		report.RatePercent(hID.MissRate(hID.MissedByChecksum)),
+		report.RatePercent(tID.MissRate(tID.MissedByChecksum)))
 	return t.Render()
 }
 
@@ -329,6 +329,7 @@ func ratio(a, b uint64) float64 {
 type EffectiveBitsRow struct {
 	System        string
 	MissRate      float64
+	MissRateOK    bool // false when no splice remained: both numbers are unknown
 	EffectiveBits float64
 }
 
@@ -337,10 +338,11 @@ type EffectiveBitsRow struct {
 func EffectiveBits(results []sim.Result) []EffectiveBitsRow {
 	var out []EffectiveBitsRow
 	for _, r := range results {
-		rate := r.MissRate(r.MissedByChecksum)
+		rate, ok := r.MissRate(r.MissedByChecksum)
 		out = append(out, EffectiveBitsRow{
 			System:        r.System,
 			MissRate:      rate,
+			MissRateOK:    ok,
 			EffectiveBits: stats.EffectiveBits(rate),
 		})
 	}
@@ -355,10 +357,13 @@ func EffectiveBitsReport(rows []EffectiveBitsRow) string {
 	}
 	for _, r := range rows {
 		eb := "inf"
-		if !math.IsInf(r.EffectiveBits, 1) {
+		switch {
+		case !r.MissRateOK:
+			eb = "-"
+		case !math.IsInf(r.EffectiveBits, 1):
 			eb = fmt.Sprintf("%.1f", r.EffectiveBits)
 		}
-		t.AddRow(r.System, report.Percent(r.MissRate), eb, report.Percent(stats.UniformMissRate(10)))
+		t.AddRow(r.System, report.RatePercent(r.MissRate, r.MissRateOK), eb, report.Percent(stats.UniformMissRate(10)))
 	}
 	return t.Render()
 }
@@ -406,7 +411,7 @@ func AblationsReport(d AblationData) string {
 	} {
 		t.AddRow(e.name, report.Count(e.res.Remaining),
 			report.Count(e.res.MissedByChecksum),
-			report.Percent(e.res.MissRate(e.res.MissedByChecksum)))
+			report.RatePercent(e.res.MissRate(e.res.MissedByChecksum)))
 	}
 	return t.Render()
 }
@@ -454,7 +459,7 @@ func PathologicalReport(rows []PathologicalRow) string {
 	for _, r := range rows {
 		cells := []string{r.Corpus}
 		for _, e := range r.Results {
-			cells = append(cells, report.Percent(e.Res.MissRate(e.Res.MissedByChecksum)))
+			cells = append(cells, report.RatePercent(e.Res.MissRate(e.Res.MissedByChecksum)))
 		}
 		t.AddRow(cells...)
 	}

@@ -41,11 +41,7 @@ func (a AlgoTally) MissRate() float64 {
 // rateCell renders an AlgoTally's miss rate for a table cell: the
 // percentage, or "-" when no corrupted delivery was ever scored.
 func rateCell(a AlgoTally) string {
-	r, ok := a.Rate()
-	if !ok {
-		return "-"
-	}
-	return report.Percent(r)
+	return report.RatePercent(a.Rate())
 }
 
 // RetransTally closes the retransmission loop for one checksum lane —

@@ -81,6 +81,15 @@ func Percent(x float64) string {
 	}
 }
 
+// RatePercent renders a rate that may be unknown: Percent(rate), or "-"
+// when ok is false because the rate had no base to be taken over.
+func RatePercent(rate float64, ok bool) string {
+	if !ok {
+		return "-"
+	}
+	return Percent(rate)
+}
+
 // Count renders an integer with thousands separators, as the paper's
 // tables do.
 func Count(n uint64) string {
@@ -117,8 +126,8 @@ func SpliceTable(results []sim.Result, checksumName string) string {
 		t.AddRow(fmt.Sprintf("%d files", r.Files), "Caught by Header", Count(r.CaughtByHeader), "")
 		t.AddRow(fmt.Sprintf("%s pkts", Count(r.Packets)), "Identical data", Count(r.Identical), "")
 		t.AddRow("", "Remaining splices", Count(r.Remaining), "(100%)")
-		t.AddRow("", "Missed by CRC", Count(r.MissedByCRC), Percent(r.MissRate(r.MissedByCRC)))
-		t.AddRow("", "Missed by "+checksumName, Count(r.MissedByChecksum), Percent(r.MissRate(r.MissedByChecksum)))
+		t.AddRow("", "Missed by CRC", Count(r.MissedByCRC), RatePercent(r.MissRate(r.MissedByCRC)))
+		t.AddRow("", "Missed by "+checksumName, Count(r.MissedByChecksum), RatePercent(r.MissRate(r.MissedByChecksum)))
 		t.AddRow("", "", "", "")
 	}
 	return t.Render()

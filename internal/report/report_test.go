@@ -105,6 +105,30 @@ func TestSpliceTable(t *testing.T) {
 	}
 }
 
+// TestSpliceTableUnknownRate pins the honest-rate rule: a system with no
+// remaining splices has no miss rate, so both rate cells read "-", never
+// "0" or "0.00%".
+func TestSpliceTableUnknownRate(t *testing.T) {
+	r := sim.Result{System: "empty"}
+	r.Counts = splice.Counts{Total: 5, CaughtByHeader: 5}
+	out := SpliceTable([]sim.Result{r}, "TCP")
+	for _, label := range []string{"Missed by CRC", "Missed by TCP"} {
+		var row string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.Contains(line, label) {
+				row = line
+			}
+		}
+		fields := strings.Fields(row)
+		if len(fields) == 0 || fields[len(fields)-1] != "-" {
+			t.Errorf("%s row = %q, want its rate cell to be \"-\"", label, row)
+		}
+	}
+	if got := RatePercent(0.5, true); got != Percent(0.5) {
+		t.Errorf("RatePercent(0.5, true) = %q, want %q", got, Percent(0.5))
+	}
+}
+
 func TestTSV(t *testing.T) {
 	out := TSV([]Series{
 		{Name: "a", Y: []float64{1, 2, 3}},

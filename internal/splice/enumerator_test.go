@@ -1,9 +1,12 @@
 package splice
 
 import (
+	"bytes"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"realsum/internal/atm"
 	"realsum/internal/tcpip"
 )
 
@@ -87,9 +90,122 @@ func TestEnumeratorMatchesEnumeratePair(t *testing.T) {
 	}
 }
 
+// TestPruningEdgeEmbeddedHeader pins the boundary of the counting-mode
+// shortcut at the Tables 1–3 geometry (256-byte payloads, 7-cell
+// pairs).  Packet 1's payload carries a copy of packet 2's 40-byte
+// TCP/IP header at payload offset 48k−40, i.e. at the start of its cell
+// k, so that interior cell passes the header battery as a first cell:
+// its subtree must be walked, not counted as caught by the header.
+func TestPruningEdgeEmbeddedHeader(t *testing.T) {
+	const payLen = 256
+	rng := rand.New(rand.NewPCG(14, 14))
+	e := NewEnumerator()
+	for ci, cfg := range fullMatrixConfigs() {
+		kind := rng.IntN(5)
+		pay1 := makePayload(rng, payLen, kind)
+		pay2 := makePayload(rng, payLen, kind)
+		build := func(pay1 []byte) (p1, p2 []byte) {
+			flow := tcpip.NewLoopbackFlow(cfg.Opts)
+			p1 = flow.NextPacket(nil, pay1)
+			return p1, flow.NextPacket(nil, pay2)
+		}
+		p1, p2 := build(pay1)
+		if n := atm.CellCount(len(p2)); n != 7 {
+			t.Fatalf("packet 2 has %d cells, want 7", n)
+		}
+		plain := e.Pair(p1, p2, cfg)
+		if want := refEnumerate(p1, p2, cfg); plain != want {
+			t.Errorf("cfg[%d] %+v plain:\n got %+v\nwant %+v", ci, cfg.Opts, plain, want)
+		}
+		for k := 1; k <= 5; k++ {
+			emb := bytes.Clone(pay1)
+			copy(emb[atm.PayloadSize*k-tcpip.HeadersLen:], p2[:tcpip.HeadersLen])
+			q1, q2 := build(emb)
+			if !bytes.Equal(q2, p2) {
+				t.Fatalf("cfg[%d]: packet 2 depends on packet 1's payload bytes", ci)
+			}
+			got := e.Pair(q1, q2, cfg)
+			if want := refEnumerate(q1, q2, cfg); got != want {
+				t.Errorf("cfg[%d] %+v header at cell %d:\n got %+v\nwant %+v", ci, cfg.Opts, k, got, want)
+			}
+			if got.CaughtByHeader >= plain.CaughtByHeader {
+				t.Errorf("cfg[%d] %+v header at cell %d: CaughtByHeader %d, want below the plain pair's %d",
+					ci, cfg.Opts, k, got.CaughtByHeader, plain.CaughtByHeader)
+			}
+		}
+	}
+}
+
+// TestCountingMatchesVisiting checks the counting walk, which counts
+// header-caught subtrees without visiting them, against the visitor
+// walk, which reaches every leaf: identical Counts, exactly Total
+// visits, and selections of n2−1 strictly increasing pool indices in
+// ascending lexicographic order.
+func TestCountingMatchesVisiting(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 14))
+	type geom struct{ n1, n2 int }
+	geoms := []geom{{160, 160}, {256, 256}, {7, 150}, {97, 53}}
+	for _, n1 := range []int{1, 5, 8, 11, 48, 53, 101, 151, 199} {
+		geoms = append(geoms, geom{n1, []int{2, 9, 54, 100, 152}[rng.IntN(5)]})
+	}
+	e := NewEnumerator()
+	for ci, cfg := range fullMatrixConfigs() {
+		for _, g := range geoms {
+			kind := rng.IntN(5)
+			flow := tcpip.NewLoopbackFlow(cfg.Opts)
+			p1 := flow.NextPacket(nil, makePayload(rng, g.n1, kind))
+			p2 := flow.NextPacket(nil, makePayload(rng, g.n2, kind))
+			need := atm.CellCount(len(p2)) - 1
+			var visits uint64
+			var prev []int
+			visited := e.VisitPair(p1, p2, cfg, false, func(s Splice) {
+				visits++
+				sel := s.Selection
+				if len(sel) != need {
+					t.Fatalf("cfg[%d] %v: selection %v has length %d, want %d", ci, g, sel, len(sel), need)
+				}
+				for j := 1; j < len(sel); j++ {
+					if sel[j] <= sel[j-1] {
+						t.Fatalf("cfg[%d] %v: selection %v not strictly increasing", ci, g, sel)
+					}
+				}
+				if prev != nil && slices.Compare(prev, sel) >= 0 {
+					t.Fatalf("cfg[%d] %v: selection %v visited after %v", ci, g, sel, prev)
+				}
+				prev = append(prev[:0], sel...)
+			})
+			counted := e.Pair(p1, p2, cfg)
+			if counted != visited {
+				t.Errorf("cfg[%d] %+v %v:\ncounted %+v\nvisited %+v", ci, cfg.Opts, g, counted, visited)
+			}
+			if visits != counted.Total {
+				t.Errorf("cfg[%d] %+v %v: visitor saw %d splices, Total %d", ci, cfg.Opts, g, visits, counted.Total)
+			}
+		}
+	}
+}
+
+// TestBinomialTable checks the table the counting walk reads subtree
+// sizes from.
+func TestBinomialTable(t *testing.T) {
+	if got := binomial[12][6]; got != 924 {
+		t.Errorf("C(12,6) = %d, want 924", got)
+	}
+	for n := range binomial {
+		var sum uint64
+		for k := 0; k <= n; k++ {
+			sum += binomial[n][k]
+		}
+		if sum != 1<<n {
+			t.Errorf("row %d sums to %d, want 2^%d", n, sum, n)
+		}
+	}
+}
+
 // TestEnumeratorSteadyStateZeroAllocs is the allocation regression
 // gate: once warm, enumerating a pair must not allocate, for the plain
-// TCP path, the Fletcher/trailer path, and the CRC-checked path alike.
+// TCP path, the Fletcher/trailer path, and the CRC-checked path alike,
+// whether it counts (Pair) or visits every splice (VisitPair).
 func TestEnumeratorSteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 21))
 	cases := []struct {
@@ -117,13 +233,27 @@ func TestEnumeratorSteadyStateZeroAllocs(t *testing.T) {
 			if avg != 0 {
 				t.Errorf("steady-state Pair allocates %.1f objects/op, want 0", avg)
 			}
+			visits := 0
+			fn := func(Splice) { visits++ }
+			e.VisitPair(p1, p2, tc.cfg, false, fn)
+			avg = testing.AllocsPerRun(50, func() {
+				e.VisitPair(p1, p2, tc.cfg, false, fn)
+			})
+			if avg != 0 {
+				t.Errorf("steady-state VisitPair allocates %.1f objects/op, want 0", avg)
+			}
 		})
 	}
 }
 
+var benchSink Counts
+
 // BenchmarkEnumeratorPair times the steady-state hot path the tables
 // are built from: one warm enumerator classifying a 7-cell pair (923
-// candidate splices) with the CRC check on.
+// candidate splices) with the CRC check on.  "count" is Pair, which
+// counts header-caught subtrees in O(1); "visit" is VisitPair, which
+// walks every leaf.  Both report ns per candidate splice and the share
+// of candidates the header battery caught.
 func BenchmarkEnumeratorPair(b *testing.B) {
 	flow := tcpip.NewLoopbackFlow(tcpip.BuildOptions{})
 	payload := make([]byte, 256)
@@ -133,11 +263,23 @@ func BenchmarkEnumeratorPair(b *testing.B) {
 	p1 := flow.NextPacket(nil, payload)
 	p2 := flow.NextPacket(nil, payload)
 	cfg := Config{Opts: tcpip.BuildOptions{}, CheckCRC: true}
-	e := NewEnumerator()
-	e.Pair(p1, p2, cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Pair(p1, p2, cfg)
+	for _, mode := range []struct {
+		name string
+		run  func(e *Enumerator) Counts
+	}{
+		{"count", func(e *Enumerator) Counts { return e.Pair(p1, p2, cfg) }},
+		{"visit", func(e *Enumerator) Counts { return e.VisitPair(p1, p2, cfg, false, func(Splice) {}) }},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			e := NewEnumerator()
+			c := mode.run(e)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = mode.run(e)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.Total), "ns/candidate")
+			b.ReportMetric(float64(c.CaughtByHeader)/float64(c.Total), "header-caught-share")
+		})
 	}
 }

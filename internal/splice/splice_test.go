@@ -327,7 +327,7 @@ func TestZeroHeavyPayloadsMissedOften(t *testing.T) {
 	if c.Remaining == 0 {
 		t.Fatal("no remaining splices")
 	}
-	rate := c.MissRate(c.MissedByChecksum)
+	rate, _ := c.MissRate(c.MissedByChecksum)
 	if rate < 100.0/65536 {
 		t.Errorf("gmon-like data miss rate %.6f not >> 2^-16", rate)
 	}
@@ -358,9 +358,10 @@ func TestTrailerBeatsHeaderOnStructuredData(t *testing.T) {
 	if hdr.MissedByChecksum == 0 {
 		t.Skip("header checksum missed nothing; structured payload too weak")
 	}
-	if trl.MissRate(trl.MissedByChecksum) >= hdr.MissRate(hdr.MissedByChecksum) {
-		t.Errorf("trailer miss rate %.6g not below header %.6g",
-			trl.MissRate(trl.MissedByChecksum), hdr.MissRate(hdr.MissedByChecksum))
+	hr, _ := hdr.MissRate(hdr.MissedByChecksum)
+	tr, _ := trl.MissRate(trl.MissedByChecksum)
+	if tr >= hr {
+		t.Errorf("trailer miss rate %.6g not below header %.6g", tr, hr)
 	}
 	if trl.IdenticalFailedChecksum == 0 {
 		t.Error("trailer checksums should reject identical splices (Table 10)")
@@ -406,12 +407,12 @@ func TestCountsAdd(t *testing.T) {
 
 func TestMissRate(t *testing.T) {
 	c := Counts{Remaining: 200, MissedByChecksum: 3}
-	if got := c.MissRate(c.MissedByChecksum); got != 0.015 {
-		t.Errorf("MissRate = %v", got)
+	if got, ok := c.MissRate(c.MissedByChecksum); got != 0.015 || !ok {
+		t.Errorf("MissRate = %v, %v; want 0.015, true", got, ok)
 	}
 	var empty Counts
-	if empty.MissRate(5) != 0 {
-		t.Error("empty MissRate should be 0")
+	if got, ok := empty.MissRate(5); ok {
+		t.Errorf("MissRate with no remaining splices = %v, true; want ok false", got)
 	}
 }
 

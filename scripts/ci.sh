@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI gate: vet, build, full test suite, the race detector over the
-# concurrent packages, the workers-determinism guarantees and the CRC
-# kernel layer, the bench/ harness tests, and a one-iteration smoke of
-# the per-algorithm checksum benchmark.
+# CI gate: vet, build, full test suite, a bounded splice-enumerator
+# fuzz run, the race detector over the concurrent packages, the
+# workers-determinism guarantees and the CRC kernel layer, the bench/
+# harness tests, and a one-iteration smoke of the per-algorithm
+# checksum benchmark.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,6 +22,13 @@ echo "== fuzz seed-corpus smoke =="
 # testdata/fuzz seeds included.  `go test -fuzz` only accepts a single
 # package, so the smoke uses -run across the tree.
 go test -count=1 -run Fuzz ./...
+
+echo "== splice enumerator fuzz (15 s of new inputs) =="
+# The seed smoke above replays only f.Add inputs.  This bounded run
+# mutates new payloads and configurations through the iterative splice
+# walk, whose counting mode skips header-caught subtrees, and checks
+# every pair against the materializing brute force.
+go test -run '^$' -fuzz FuzzEnumerateMatchesBruteForce -fuzztime 15s ./internal/splice/
 
 echo "== CRC kernel differential smoke (-race) =="
 # Every kernel against the scalar oracle and hash/crc32, the
