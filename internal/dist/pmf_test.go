@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -41,6 +43,156 @@ func TestConvolveAgainstBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// refConvolve is the textbook loop the blocked kernel replaced: for each
+// nonzero q[x] in ascending x, add p[v]·q[x] into out[(v+x) mod M].  It
+// is the slow reference Convolve must match bit for bit.
+func refConvolve(p, q PMF) PMF {
+	m := p.M
+	out := NewPMF(m)
+	for x, qx := range q.P {
+		if qx == 0 {
+			continue
+		}
+		o := out.P[x:]
+		for v := 0; v < m-x; v++ {
+			o[v] += p.P[v] * qx
+		}
+		o = out.P[:x]
+		for v := m - x; v < m; v++ {
+			o[v-(m-x)] += p.P[v] * qx
+		}
+	}
+	return out
+}
+
+// densityPMF returns a PMF over ℤ/m whose bins are each nonzero with
+// probability density (at least one bin is).
+func densityPMF(rng *rand.Rand, m int, density float64) PMF {
+	p := NewPMF(m)
+	p.P[rng.IntN(m)] = rng.Float64() + 0.01
+	var total float64
+	for i := range p.P {
+		if rng.Float64() < density {
+			p.P[i] = rng.Float64() + 0.01
+		}
+		total += p.P[i]
+	}
+	for i := range p.P {
+		p.P[i] /= total
+	}
+	return p
+}
+
+// checkSameBits fails unless got and want agree bit for bit in every bin.
+func checkSameBits(t *testing.T, name string, got, want PMF) {
+	t.Helper()
+	if got.M != want.M || len(got.P) != len(want.P) {
+		t.Fatalf("%s: modulus %d/%d bins, want %d/%d", name, got.M, len(got.P), want.M, len(want.P))
+	}
+	for c := range want.P {
+		if math.Float64bits(got.P[c]) != math.Float64bits(want.P[c]) {
+			t.Fatalf("%s: bin %d = %v (%#x), reference %v (%#x)", name, c,
+				got.P[c], math.Float64bits(got.P[c]), want.P[c], math.Float64bits(want.P[c]))
+		}
+	}
+}
+
+// TestConvolveMatchesReference pins the blocked kernel to the textbook
+// loop bit for bit, at moduli around the block width and at densities
+// from sparse to full support.
+func TestConvolveMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(4, 4))
+	densities := []float64{0.01, 0.3, 1}
+	for _, m := range []int{1, 2, 3, 255, 256, 2047, 2048, 2049, 4097} {
+		for _, dp := range densities {
+			for _, dq := range densities {
+				p, q := densityPMF(rng, m, dp), densityPMF(rng, m, dq)
+				checkSameBits(t, fmt.Sprintf("M=%d p%.0f%%⊛q%.0f%%", m, 100*dp, 100*dq),
+					p.Convolve(q), refConvolve(p, q))
+			}
+		}
+		point, uniform := PointPMF(m, m/2), UniformPMF(m)
+		checkSameBits(t, fmt.Sprintf("M=%d point⊛uniform", m), point.Convolve(uniform), refConvolve(point, uniform))
+		checkSameBits(t, fmt.Sprintf("M=%d uniform⊛point", m), uniform.Convolve(point), refConvolve(uniform, point))
+		checkSameBits(t, fmt.Sprintf("M=%d uniform⊛uniform", m), uniform.Convolve(uniform), refConvolve(uniform, uniform))
+	}
+	if raceEnabled {
+		t.Log("skipping the M=65535 case under -race")
+		return
+	}
+	// The Table 4 shape: a dense k-cell PMF against a single-cell PMF
+	// with ~20k support over ℤ/65535.
+	p, q := densityPMF(rng, 65535, 1), densityPMF(rng, 65535, 0.3)
+	checkSameBits(t, "M=65535 dense⊛sparse", p.Convolve(q), refConvolve(p, q))
+}
+
+// fuzzPMFs decodes a modulus and two PMFs from fuzz input: two bytes of
+// modulus (1..5000), one fill byte (bit 0 gives p, bit 1 gives q a
+// small mass in every bin), then 4-byte records — select bit and binary
+// exponent, 16-bit bin, mantissa byte — each adding one mass to p or q.
+// The masses need not sum to 1: the kernel must match the reference on
+// any float64 inputs, across many exponents.
+func fuzzPMFs(data []byte) (p, q PMF, ok bool) {
+	if len(data) < 3 {
+		return PMF{}, PMF{}, false
+	}
+	m := 1 + int(binary.LittleEndian.Uint16(data))%5000
+	p, q = NewPMF(m), NewPMF(m)
+	for i, dst := range []PMF{p, q} {
+		if data[2]>>i&1 != 0 {
+			for c := range dst.P {
+				dst.P[c] = 0x1p-20
+			}
+		}
+	}
+	for rec := data[3:]; len(rec) >= 4; rec = rec[4:] {
+		dst := p
+		if rec[0]&0x80 != 0 {
+			dst = q
+		}
+		v := math.Ldexp(float64(rec[3])+1, -int(rec[0]&0x3f))
+		dst.P[int(binary.LittleEndian.Uint16(rec[1:]))%m] += v
+	}
+	return p, q, true
+}
+
+func FuzzConvolveMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0x01, 0, 0, 7, 0x81, 0, 0, 9})
+	f.Add([]byte{0xff, 0x07, 1, 0x85, 0xff, 0x07, 200, 0x83, 0x01, 0x00, 3})
+	f.Add([]byte{0x00, 0x08, 2, 0x02, 0xfe, 0x07, 1, 0x04, 0x01, 0x08, 99})
+	f.Add([]byte{0x02, 0x10, 3, 0x80, 0x00, 0x10, 0xff, 0x3f, 0x00, 0x00, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, q, ok := fuzzPMFs(data)
+		if !ok {
+			return
+		}
+		checkSameBits(t, fmt.Sprintf("M=%d", p.M), p.Convolve(q), refConvolve(p, q))
+	})
+}
+
+// BenchmarkConvolve times one ℤ/65535 convolution in the two shapes the
+// paper passes run: sparse⊛sparse (Figure 2's k=2 prediction, the
+// single-cell PMF with itself) and dense⊛sparse (Table 4's k ≥ 2 steps).
+// The single-cell PMF has ~19.5k of 65535 bins, as on Stanford /u1.
+func BenchmarkConvolve(b *testing.B) {
+	rng := rand.New(rand.NewPCG(5, 5))
+	single := densityPMF(rng, 65535, 0.3)
+	dense := densityPMF(rng, 65535, 1)
+	for _, bc := range []struct {
+		name string
+		p, q PMF
+	}{{"sparse*sparse", single, single}, {"dense*sparse", dense, single}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				convolveSink = bc.p.Convolve(bc.q)
+			}
+		})
+	}
+}
+
+var convolveSink PMF
 
 func TestConvolvePreservesMass(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))

@@ -59,6 +59,16 @@ func (c Config) collectOptions() sim.CollectOptions {
 	return sim.CollectOptions{Workers: c.Workers, Seed: c.Seed, Progress: c.Progress}
 }
 
+// convolve computes p⊛q on the Config's workers; like the collection
+// passes, it panics on error (a cancelled Ctx).
+func (c Config) convolve(p, q dist.PMF) dist.PMF {
+	out, err := sim.Convolve(c.ctx(), p, q, c.collectOptions())
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 // build scales a profile and folds the Config's root seed into its
 // corpus seed — the one place every experiment materializes a corpus,
 // so -seed reshapes every synthetic file system coherently.
@@ -157,7 +167,7 @@ func Figure2(cfg Config) Figure2Data {
 		}
 	}
 	p1 := dist.FromHistogram(single)
-	p2 := p1.Convolve(p1)
+	p2 := cfg.convolve(p1, p1)
 	out.Predict = sortedDesc(p2)
 	out.TopShare = single.TopShare(65)
 	out.PMaxValue, out.PMaxP = single.PMax()
@@ -261,7 +271,7 @@ func Table4(cfg Config) []Table4Row {
 			Measured:  g.CongruentProbability(),
 		})
 		if k < 5 {
-			pk = pk.Convolve(p1)
+			pk = cfg.convolve(pk, p1)
 		}
 	}
 	return rows

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"realsum/internal/report"
 	"realsum/internal/sim"
 )
 
@@ -308,8 +309,9 @@ func TestEffectiveBitsHeadline(t *testing.T) {
 }
 
 // TestUnknownRatesRenderDash pins the honest-rate rule for the rows that
-// carry a splice miss rate out of splice.Counts: with no remaining
-// splice the rate is unknown and renders "-", not "0" or "inf" bits.
+// carry a miss rate: with no remaining splice (splice.Counts, Table 6's
+// per-length Actual) or no corrupted reassembly (ipfrag.SwapResult) the
+// rate is unknown and renders "-", not "0" or "inf" bits.
 func TestUnknownRatesRenderDash(t *testing.T) {
 	cells := func(report, system string) []string {
 		for _, line := range strings.Split(report, "\n") {
@@ -324,9 +326,28 @@ func TestUnknownRatesRenderDash(t *testing.T) {
 	if f := cells(EffectiveBitsReport(rows), "empty"); f[1] != "-" || f[2] != "-" {
 		t.Errorf("effective-bits row %q, want rate and bits \"-\"", f)
 	}
-	frag := FragSwapReport([]FragSwapRow{{Algorithm: "tcp", FragMissRate: 0.5}})
-	if f := cells(frag, "tcp"); f[len(f)-1] != "-" {
-		t.Errorf("frag-swap row %q, want the AAL5 rate \"-\"", f)
+	frag := FragSwapReport([]FragSwapRow{
+		{Algorithm: "tcp", FragMissRate: 0.5, FragOK: true},
+		{Algorithm: "f256", AAL5MissRate: 0.25, AAL5OK: true},
+	})
+	if f := cells(frag, "tcp"); f[1] != report.Percent(0.5) || f[2] != "-" {
+		t.Errorf("frag-swap row %q, want the frag rate and the AAL5 rate \"-\"", f)
+	}
+	if f := cells(frag, "f256"); f[1] != "-" || f[2] != report.Percent(0.25) {
+		t.Errorf("frag-swap row %q, want the frag rate \"-\" and the AAL5 rate", f)
+	}
+	t6 := Table6Report([]Table6System{{
+		System: "sys", K: []int{1, 2},
+		PredictedGlobal: []float64{0.1, 0.1}, MeasuredGlobal: []float64{0.1, 0.1},
+		LocalCongruent: []float64{0.1, 0.1}, ExcludeIdentical: []float64{0.1, 0.1},
+		Corrected: []float64{0.1, 0.1},
+		Actual:    []float64{0.25, 0}, ActualOK: []bool{true, false},
+	}})
+	if f := cells(t6, "1"); f[len(f)-1] != report.Percent(0.25) {
+		t.Errorf("Table 6 k=1 row %q, want Actual %s", f, report.Percent(0.25))
+	}
+	if f := cells(t6, "2"); f[len(f)-1] != "-" {
+		t.Errorf("Table 6 k=2 row %q, want Actual \"-\"", f)
 	}
 }
 

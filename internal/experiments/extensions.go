@@ -165,6 +165,7 @@ func AdlerComparison(cfg Config) []AdlerRow {
 type FragSwapRow struct {
 	Algorithm    string
 	FragMissRate float64 // same-offset fragment swaps (ipfrag model)
+	FragOK       bool    // false when no swap corrupted a reassembly: FragMissRate is unknown
 	AAL5MissRate float64 // cell splices on the same corpus (Table 8 model)
 	AAL5OK       bool    // false when no splice remained: AAL5MissRate is unknown
 }
@@ -217,10 +218,12 @@ func FragSwap(cfg Config) []FragSwapRow {
 		if err != nil {
 			panic(err)
 		}
+		fragRate, fragOK := frag.MissRate()
 		aal5, ok := res.MissRate(res.MissedByChecksum)
 		out = append(out, FragSwapRow{
 			Algorithm:    alg.String(),
-			FragMissRate: frag.MissRate(),
+			FragMissRate: fragRate,
+			FragOK:       fragOK,
 			AAL5MissRate: aal5,
 			AAL5OK:       ok,
 		})
@@ -235,7 +238,7 @@ func FragSwapReport(rows []FragSwapRow) string {
 		Headers: []string{"algorithm", "frag-swap miss", "AAL5-splice miss"},
 	}
 	for _, r := range rows {
-		t.AddRow(r.Algorithm, report.Percent(r.FragMissRate), report.RatePercent(r.AAL5MissRate, r.AAL5OK))
+		t.AddRow(r.Algorithm, report.RatePercent(r.FragMissRate, r.FragOK), report.RatePercent(r.AAL5MissRate, r.AAL5OK))
 	}
 	return t.Render() + "\nsame-offset substitution removes the inter-fragment colouring that cell\n" +
 		"splices exhibit; the TCP checksum misses both models at rates far above\n" +

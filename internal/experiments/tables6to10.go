@@ -36,8 +36,11 @@ type Table6System struct {
 	// Corrected applies the §5.4 cell-colouring factor
 	// C(n−2,k−1)/C(n−1,k−1) = (n−k)/(n−1) for n = 7.
 	Corrected []float64
-	// Actual is the splice simulation's per-length miss rate.
-	Actual []float64
+	// Actual is the splice simulation's per-length miss rate; ActualOK
+	// is false where no splice of that length remained, so the rate is
+	// unknown.
+	Actual   []float64
+	ActualOK []bool
 }
 
 // Table6 runs the full predicted-vs-actual comparison.
@@ -72,7 +75,8 @@ func Table6(cfg Config) []Table6System {
 			excl := loc.ExcludeIdenticalP()
 			factor := float64(n-k) / float64(n-1)
 			var actual float64
-			if res.RemainingByLen[k] > 0 {
+			actualOK := res.RemainingByLen[k] > 0
+			if actualOK {
 				actual = float64(res.MissedByLen[k]) / float64(res.RemainingByLen[k])
 			}
 			sys.K = append(sys.K, k)
@@ -82,8 +86,9 @@ func Table6(cfg Config) []Table6System {
 			sys.ExcludeIdentical = append(sys.ExcludeIdentical, excl)
 			sys.Corrected = append(sys.Corrected, excl*factor)
 			sys.Actual = append(sys.Actual, actual)
+			sys.ActualOK = append(sys.ActualOK, actualOK)
 			if k < 4 {
-				pk = pk.Convolve(p1)
+				pk = cfg.convolve(pk, p1)
 			}
 		}
 		out = append(out, sys)
@@ -107,7 +112,7 @@ func Table6Report(systems []Table6System) string {
 				report.Percent(s.LocalCongruent[i]),
 				report.Percent(s.ExcludeIdentical[i]),
 				report.Percent(s.Corrected[i]),
-				report.Percent(s.Actual[i]))
+				report.RatePercent(s.Actual[i], s.ActualOK[i]))
 		}
 		b.WriteString(t.Render())
 		b.WriteString("\n")

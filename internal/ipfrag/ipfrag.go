@@ -155,12 +155,13 @@ func (r *SwapResult) Add(o SwapResult) {
 	r.Missed += o.Missed
 }
 
-// MissRate returns Missed/Remaining.
-func (r SwapResult) MissRate() float64 {
+// MissRate returns Missed/Remaining.  ok is false when no corrupted
+// reassembly remained, so the rate is unknown rather than zero.
+func (r SwapResult) MissRate() (rate float64, ok bool) {
 	if r.Remaining == 0 {
-		return 0
+		return 0, false
 	}
-	return float64(r.Missed) / float64(r.Remaining)
+	return float64(r.Missed) / float64(r.Remaining), true
 }
 
 // SwapPair fragments two adjacent packets at mtu and tries every

@@ -182,7 +182,9 @@ func TestSameOffsetSwapsAttenuateFletcherAdvantage(t *testing.T) {
 	if tcp.Missed == 0 {
 		t.Skip("zero-heavy corpus produced no TCP misses at this size")
 	}
-	ratio := f256.MissRate() / tcp.MissRate()
+	f256Rate, _ := f256.MissRate()
+	tcpRate, _ := tcp.MissRate()
+	ratio := f256Rate / tcpRate
 	if ratio < 0.2 {
 		t.Errorf("Fletcher-256 still wins on same-offset swaps (ratio %.3f); coloring theory violated", ratio)
 	}
@@ -190,11 +192,11 @@ func TestSameOffsetSwapsAttenuateFletcherAdvantage(t *testing.T) {
 
 func TestSwapResultHelpers(t *testing.T) {
 	r := SwapResult{Remaining: 10, Missed: 2}
-	if r.MissRate() != 0.2 {
-		t.Error("MissRate")
+	if rate, ok := r.MissRate(); rate != 0.2 || !ok {
+		t.Errorf("MissRate = %v, %v; want 0.2, true", rate, ok)
 	}
 	var empty SwapResult
-	if empty.MissRate() != 0 {
-		t.Error("empty MissRate")
+	if _, ok := empty.MissRate(); ok {
+		t.Error("empty MissRate reports a known rate")
 	}
 }

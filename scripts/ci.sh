@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# CI gate: vet, build, full test suite, a bounded splice-enumerator
-# fuzz run, the race detector over the concurrent packages, the
-# workers-determinism guarantees and the CRC kernel layer, the bench/
-# harness tests, and a one-iteration smoke of the per-algorithm
-# checksum benchmark.
+# CI gate: vet, build, full test suite, bounded splice-enumerator and
+# PMF-convolution fuzz runs, the race detector over the concurrent
+# packages, the workers-determinism guarantees and the CRC kernel
+# layer, the bench/ harness tests, and a one-iteration smoke of the
+# per-algorithm checksum benchmark.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +30,11 @@ echo "== splice enumerator fuzz (15 s of new inputs) =="
 # every pair against the materializing brute force.
 go test -run '^$' -fuzz FuzzEnumerateMatchesBruteForce -fuzztime 15s ./internal/splice/
 
+echo "== PMF convolution fuzz (10 s of new inputs) =="
+# The blocked convolution kernel against the textbook loop over q's
+# support, bit for bit, on mutated moduli (up to 5000) and masses.
+go test -run '^$' -fuzz FuzzConvolveMatchesReference -fuzztime 10s ./internal/dist/
+
 echo "== CRC kernel differential smoke (-race) =="
 # Every kernel against the scalar oracle and hash/crc32, the
 # auto-selection contract (whatever New raced to must verify against
@@ -37,8 +42,8 @@ echo "== CRC kernel differential smoke (-race) =="
 # the race detector — tables are shared across netsim workers.
 go test -race -count=1 -run 'Sparse|Kernel|SumZeroAlloc|SumHelper' ./internal/crc/ ./internal/algo/
 
-echo "== go test -race (sim, splice, netsim) =="
-go test -race ./internal/sim/... ./internal/splice/... ./internal/netsim/...
+echo "== go test -race (sim, splice, netsim, dist) =="
+go test -race ./internal/sim/... ./internal/splice/... ./internal/netsim/... ./internal/dist/...
 
 echo "== go test -race (workers determinism) =="
 go test -race -run 'Deterministic' ./internal/sim/... ./internal/experiments/... ./internal/netsim/...
