@@ -33,6 +33,9 @@ type Algorithm interface {
 	Sum(data []byte) uint64
 	// New returns a fresh streaming digest.
 	New() Digest
+	// Stride returns the algorithm's fixed-stride composition over
+	// n-byte blocks (n positive and even); see Stride.
+	Stride(n int) Stride
 	// UniformP is the probability that two independent uniformly
 	// distributed inputs produce congruent checksums — the collision
 	// floor every measured distribution is compared against.  It
@@ -51,12 +54,12 @@ type Digest interface {
 	Reset()
 }
 
-// Sum computes a's checksum of data in one shot.  It is the documented
-// choke point for hot scoring loops — netsim scores every delivered
-// segment through it — and carries the performance contract the loops
-// rely on: one virtual call per buffer, no Digest construction, and
-// zero steady-state allocations for every registry algorithm (pinned by
-// TestSumZeroAlloc).  Bulk CRC input dispatches through the raced
+// Sum computes a's checksum of data in one shot.  It is the one-shot
+// path for whole buffers — the full-recompute oracle netsim's
+// cell-composed scoring (Stride) is tested against — and carries the
+// performance contract hot loops rely on: one virtual call per buffer,
+// no Digest construction, and zero steady-state allocations for every
+// registry algorithm (pinned by TestSumZeroAlloc).  Bulk CRC input dispatches through the raced
 // kernel layer underneath (see internal/crc).
 func Sum(a Algorithm, data []byte) uint64 { return a.Sum(data) }
 
@@ -70,6 +73,35 @@ type Combiner interface {
 	// Combine returns Sum(A‖B) given a = Sum(A), b = Sum(B) and the
 	// fragment lengths in bytes.
 	Combine(a, b uint64, lenA, lenB int) uint64
+}
+
+// Stride composes an algorithm's sum of a message cut into fixed
+// n-byte blocks from per-block partials: a caller that sees the same
+// blocks many times (netsim scores every delivery as a train of 48-byte
+// ATM cells, most of them pristine sent cells) computes each block's
+// Partial once and folds it in at any block position for a few
+// operations.  For a message B₀‖B₁‖…‖B_{k−1}‖T of k full blocks and a
+// final 0 ≤ |T| bytes,
+//
+//	Sum(M) = s.Sum(s.Tail(s.Fold(s.Start(), [Partial(B₀) … Partial(B_{k−1})]), T))
+//
+// The block offsets are multiples of an even n, which is all every
+// registry algorithm needs: the TCP sum never meets the odd-offset byte
+// swap, and Fletcher-32 — whose 16-bit words make an odd split
+// uncomposable, so it has no Combine — composes at even offsets like
+// any Fletcher sum.  States are opaque values of the one Stride.
+type Stride interface {
+	// Partial is the position-free partial of one n-byte block.  It is
+	// below 2^Width(), so a caller storing many can pack them.
+	Partial(block []byte) uint64
+	// Start is the state of the empty message.
+	Start() uint64
+	// Fold appends one full block per partial.
+	Fold(state uint64, parts []uint64) uint64
+	// Tail appends data directly as the message's final bytes.
+	Tail(state uint64, data []byte) uint64
+	// Sum is the algorithm's canonical value of a state.
+	Sum(state uint64) uint64
 }
 
 var registry = struct {

@@ -195,3 +195,81 @@ func TestCombinerMatchesDirect(t *testing.T) {
 		}
 	}
 }
+
+// TestStrideMatchesDirect checks the fixed-stride composition law for
+// every registry algorithm (Fletcher-32 included: its blocks sit at even
+// offsets) and for generic-width CRCs of both register alignments, with
+// every partial inside the algorithm's width:
+// Sum(B₀‖…‖B_{k−1}‖T) from per-block partials folded in one or two
+// calls plus a directly summed tail of any length, odd ones included,
+// at every cell count up to a long train that crosses the pair
+// strides' reduction interval.
+func TestStrideMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewPCG(6, 6))
+	algs := All()
+	for _, p := range crc.Catalog() {
+		algs = append(algs, NewCRC(p, p.Name))
+	}
+	fill := map[string]func([]byte){
+		"random": func(b []byte) {
+			for i := range b {
+				b[i] = byte(rng.Uint32())
+			}
+		},
+		"0xfe": func(b []byte) {
+			for i := range b {
+				b[i] = 0xFE
+			}
+		},
+	}
+	for _, n := range []int{48, 2, 64} {
+		for _, a := range algs {
+			s := a.Stride(n)
+			for _, k := range []int{0, 1, 2, 3, 7, 12, 1500} {
+				for fname, f := range fill {
+					data := make([]byte, k*n+n)
+					f(data)
+					parts := make([]uint64, k)
+					for i := range parts {
+						parts[i] = s.Partial(data[i*n : (i+1)*n])
+						if a.Width() < 64 && parts[i]>>a.Width() != 0 {
+							t.Fatalf("%s: partial %#x exceeds %d bits", a.Name(), parts[i], a.Width())
+						}
+					}
+					cut := k / 2
+					whole := s.Fold(s.Start(), parts)
+					split := s.Fold(s.Fold(s.Start(), parts[:cut]), parts[cut:])
+					if whole != split {
+						t.Errorf("%s n=%d k=%d %s: split fold %#x != one fold %#x", a.Name(), n, k, fname, split, whole)
+					}
+					for _, tail := range []int{0, 1, n / 2, n - 1, n} {
+						msg := data[:k*n+tail]
+						got := s.Sum(s.Tail(whole, msg[k*n:]))
+						if want := Sum(a, msg); got != want {
+							t.Errorf("%s n=%d k=%d tail=%d %s: composed %#x, want %#x",
+								a.Name(), n, k, tail, fname, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStrideRejectsOddBlocks: an odd block would put the next block at
+// an odd offset, where the TCP sum needs a byte swap and Fletcher-32
+// cannot compose at all.
+func TestStrideRejectsOddBlocks(t *testing.T) {
+	for _, a := range All() {
+		for _, n := range []int{0, -2, 47} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Stride(%d) did not panic", a.Name(), n)
+					}
+				}()
+				a.Stride(n)
+			}()
+		}
+	}
+}

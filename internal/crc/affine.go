@@ -46,6 +46,83 @@ func (t *Table) RawShift(reg uint64, n int) uint64 {
 	return t.update(reg, zeroBytes[:n])
 }
 
+// Shift is RawShift(·, n) for one fixed n, precomputed as byte tables.
+// The map is linear over GF(2), so the image of a register is the XOR of
+// the images of its bytes: one 256-entry table per register byte —
+// ⌈w/8⌉ of them — turns a shift past a 48-byte ATM cell into ⌈w/8⌉
+// lookups instead of 48 bytes of table steps.  With P = RawUpdate(0, B)
+// the partial of an n-byte block B,
+//
+//	RawUpdate(reg, B) = s.Apply(reg) ⊕ P
+//
+// which is how a caller folds precomputed per-block partials of a
+// fixed-stride message into one register (Fold).  A Shift is immutable
+// and safe for concurrent use.
+type Shift struct {
+	lo    uint // bit offset of the register's lowest occupied byte
+	first uint // bit offset of the register's lowest bit
+	tabs  [][256]uint64
+}
+
+// NewShift precomputes the n-byte shift operator of t's register.
+func (t *Table) NewShift(n int) *Shift {
+	if n < 0 {
+		panic("crc: NewShift with negative length")
+	}
+	w := uint(t.params.Width)
+	nb := (w + 7) / 8
+	s := &Shift{tabs: make([][256]uint64, nb)}
+	// Register bits [first, first+w) of the 64-bit word are occupied:
+	// the low w bits when reflected, the top w bits when left-aligned.
+	s.first = t.rawLowBit()
+	if !t.params.RefIn {
+		s.lo = 64 - 8*nb
+	}
+	for i := range s.tabs {
+		tab := &s.tabs[i]
+		for bit := uint(0); bit < 8; bit++ {
+			pos := s.lo + 8*uint(i) + bit
+			if pos >= s.first && pos < s.first+w {
+				tab[1<<bit] = t.RawShift(uint64(1)<<pos, n)
+			}
+		}
+		for b := 1; b < 256; b++ {
+			low := b & -b
+			tab[b] = tab[low] ^ tab[b^low]
+		}
+	}
+	return s
+}
+
+// Apply advances a raw register over the operator's n zero bytes.
+func (s *Shift) Apply(reg uint64) uint64 {
+	reg >>= s.lo
+	var r uint64
+	for i := range s.tabs {
+		r ^= s.tabs[i][byte(reg)]
+		reg >>= 8
+	}
+	return r
+}
+
+// Fold advances reg over one n-byte block whose RawPartial is p: it
+// equals RawUpdate(reg, block).
+func (s *Shift) Fold(reg, p uint64) uint64 { return s.Apply(reg) ^ p<<s.first }
+
+// RawPartial is RawUpdate(0, block) shifted down to the register's low w
+// bits, so a stored partial of a w-bit CRC needs only w bits in either
+// register alignment.  Shift.Fold takes it back.
+func (t *Table) RawPartial(block []byte) uint64 { return t.update(0, block) >> t.rawLowBit() }
+
+// rawLowBit is the bit offset of a raw register's lowest bit in its
+// 64-bit word: 0 when reflected, 64 − w when left-aligned.
+func (t *Table) rawLowBit() uint {
+	if t.params.RefIn {
+		return 0
+	}
+	return uint(t.shift)
+}
+
 // RawFromCRC converts a published CRC value back into a raw register in
 // the table's internal alignment — the inverse of RawCRC.  It lets a
 // caller hoist the output transformation out of a comparison loop:

@@ -138,3 +138,38 @@ func BenchmarkSlotContribs(b *testing.B) {
 		tab.SlotContribs(dst[:], cell, 48, 44)
 	}
 }
+
+// TestShiftMatchesRawShift pins the byte-table operator against
+// RawShift for both register alignments, every catalogued width and a
+// spread of shift lengths, on random valid registers.
+func TestShiftMatchesRawShift(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 5))
+	for _, p := range append(Catalog(), affineParams...) {
+		tab := New(p)
+		for _, n := range []int{0, 1, 7, 44, 48, 96, 600} {
+			s := tab.NewShift(n)
+			for trial := 0; trial < 64; trial++ {
+				msg := make([]byte, 1+trial)
+				for i := range msg {
+					msg[i] = byte(rng.Uint32())
+				}
+				reg := tab.RawUpdate(tab.RawInit(), msg)
+				if got, want := s.Apply(reg), tab.RawShift(reg, n); got != want {
+					t.Fatalf("%s: Shift(%d).Apply(%#x) = %#x, want %#x", p.Name, n, reg, got, want)
+				}
+				// The fold identity the operator exists for, on partials
+				// that fit the register's width.
+				block := msg[:min(len(msg), n)]
+				if len(block) == n {
+					part := tab.RawPartial(block)
+					if p.Width < 64 && part>>p.Width != 0 {
+						t.Fatalf("%s: RawPartial %#x exceeds %d bits", p.Name, part, p.Width)
+					}
+					if got, want := s.Fold(reg, part), tab.RawUpdate(reg, block); got != want {
+						t.Fatalf("%s: Fold(reg, RawPartial(B)) = %#x, want RawUpdate(reg,B) = %#x", p.Name, got, want)
+					}
+				}
+			}
+		}
+	}
+}

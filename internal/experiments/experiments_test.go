@@ -310,8 +310,9 @@ func TestEffectiveBitsHeadline(t *testing.T) {
 
 // TestUnknownRatesRenderDash pins the honest-rate rule for the rows that
 // carry a miss rate: with no remaining splice (splice.Counts, Table 6's
-// per-length Actual) or no corrupted reassembly (ipfrag.SwapResult) the
-// rate is unknown and renders "-", not "0" or "inf" bits.
+// per-length Actual), no corrupted reassembly (ipfrag.SwapResult) or no
+// splice at all (Table 10's identical-data rate) the rate is unknown and
+// renders "-", not "0" or "inf" bits.
 func TestUnknownRatesRenderDash(t *testing.T) {
 	cells := func(report, system string) []string {
 		for _, line := range strings.Split(report, "\n") {
@@ -349,6 +350,19 @@ func TestUnknownRatesRenderDash(t *testing.T) {
 	if f := cells(t6, "2"); f[len(f)-1] != "-" {
 		t.Errorf("Table 6 k=2 row %q, want Actual \"-\"", f)
 	}
+	var trailer sim.Result
+	trailer.Total, trailer.IdenticalFailedChecksum = 4, 1
+	t10 := Table10Report(Table10Data{Trailer: trailer})
+	for _, line := range strings.Split(t10, "\n") {
+		if !strings.HasPrefix(strings.TrimSpace(line), "Fails checksum, data identical (%)") {
+			continue
+		}
+		if f := strings.Fields(line); f[len(f)-2] != "-" || f[len(f)-1] != report.Percent(0.25) {
+			t.Errorf("Table 10 identical-data row %q, want header \"-\" (no splice) and trailer %s", f, report.Percent(0.25))
+		}
+		return
+	}
+	t.Fatalf("no identical-data rate row in:\n%s", t10)
 }
 
 func TestAblations(t *testing.T) {

@@ -315,19 +315,20 @@ func Table10Report(d Table10Data) string {
 	hID := d.Header.Counts
 	tID := d.Trailer.Counts
 	t.AddRow("Fails checksum, data identical (%)",
-		report.Percent(ratio(hID.IdenticalFailedChecksum, hID.Total)),
-		report.Percent(ratio(tID.IdenticalFailedChecksum, tID.Total)))
+		report.RatePercent(ratio(hID.IdenticalFailedChecksum, hID.Total)),
+		report.RatePercent(ratio(tID.IdenticalFailedChecksum, tID.Total)))
 	t.AddRow("Passes checksum, data changed (%)",
 		report.RatePercent(hID.MissRate(hID.MissedByChecksum)),
 		report.RatePercent(tID.MissRate(tID.MissedByChecksum)))
 	return t.Render()
 }
 
-func ratio(a, b uint64) float64 {
+// ratio is a/b; ok is false when b is zero and the rate is unknown.
+func ratio(a, b uint64) (rate float64, ok bool) {
 	if b == 0 {
-		return 0
+		return 0, false
 	}
-	return float64(a) / float64(b)
+	return float64(a) / float64(b), true
 }
 
 // EffectiveBitsRow is the §7 headline computation for one system.

@@ -78,64 +78,73 @@ func Fragment(pkt []byte, mtu int) ([][]byte, error) {
 	return frags, nil
 }
 
-// fragMeta decodes the reassembly-relevant fields of one fragment.
-type fragMeta struct {
-	h    tcpip.IPv4Header
-	data []byte
-}
-
 // Reassemble reconstructs the original packet from its fragments (any
 // order).  It enforces the IPv4 invariants: one datagram identity,
 // contiguous offsets from zero, exactly one final fragment, and valid
 // per-fragment header checksums.
 func Reassemble(frags [][]byte) ([]byte, error) {
+	return AppendReassembled(nil, append([][]byte(nil), frags...))
+}
+
+// AppendReassembled is Reassemble appending the packet to dst, for a
+// caller that reassembles many datagrams into one reused buffer.  It
+// sorts frags by offset in place; on error dst is returned unextended.
+func AppendReassembled(dst []byte, frags [][]byte) ([]byte, error) {
 	if len(frags) == 0 {
-		return nil, ErrNoFragments
+		return dst, ErrNoFragments
 	}
-	metas := make([]fragMeta, 0, len(frags))
-	for _, f := range frags {
+	var first tcpip.IPv4Header
+	for i, f := range frags {
 		var h tcpip.IPv4Header
 		if err := h.DecodeFromBytes(f); err != nil {
-			return nil, err
+			return dst, err
 		}
 		if int(h.TotalLength) != len(f) || !inet.Verify(f[:tcpip.IPv4HeaderLen]) {
-			return nil, ErrBadFragHeader
+			return dst, ErrBadFragHeader
 		}
-		metas = append(metas, fragMeta{h: h, data: f[tcpip.IPv4HeaderLen:]})
-	}
-	first := metas[0].h
-	for _, m := range metas[1:] {
-		if m.h.ID != first.ID || m.h.Src != first.Src || m.h.Dst != first.Dst || m.h.Protocol != first.Protocol {
-			return nil, ErrMixedID
+		if i == 0 {
+			first = h
 		}
 	}
-	// Sort by offset (insertion; fragment counts are tiny).
-	for i := 1; i < len(metas); i++ {
-		for j := i; j > 0 && metas[j].h.FragOffset < metas[j-1].h.FragOffset; j-- {
-			metas[j], metas[j-1] = metas[j-1], metas[j]
+	for _, f := range frags[1:] {
+		h := header(f)
+		if h.ID != first.ID || h.Src != first.Src || h.Dst != first.Dst || h.Protocol != first.Protocol {
+			return dst, ErrMixedID
 		}
 	}
-	var payload []byte
-	for i, m := range metas {
-		if int(m.h.FragOffset)*8 != len(payload) {
-			return nil, ErrGap
+	base := len(dst)
+	dst = append(dst, frags[0][:tcpip.IPv4HeaderLen]...)
+	// Sort by offset (stable insertion; fragment counts are tiny).
+	for i := 1; i < len(frags); i++ {
+		for j := i; j > 0 && header(frags[j]).FragOffset < header(frags[j-1]).FragOffset; j-- {
+			frags[j], frags[j-1] = frags[j-1], frags[j]
 		}
-		last := i == len(metas)-1
-		if (m.h.Flags&1 == 0) != last {
-			return nil, ErrNoLast
-		}
-		payload = append(payload, m.data...)
 	}
-	out := make([]byte, tcpip.IPv4HeaderLen+len(payload))
-	copy(out, frags[0][:tcpip.IPv4HeaderLen])
-	copy(out[tcpip.IPv4HeaderLen:], payload)
+	for i, f := range frags {
+		h := header(f)
+		if int(h.FragOffset)*8 != len(dst)-base-tcpip.IPv4HeaderLen {
+			return dst[:base], ErrGap
+		}
+		last := i == len(frags)-1
+		if (h.Flags&1 == 0) != last {
+			return dst[:base], ErrNoLast
+		}
+		dst = append(dst, f[tcpip.IPv4HeaderLen:]...)
+	}
 	h := first
-	h.TotalLength = uint16(len(out))
+	h.TotalLength = uint16(len(dst) - base)
 	h.Flags &^= 1
 	h.FragOffset = 0
 	h.ComputeChecksum()
-	h.SerializeTo(out)
-	return out, nil
+	h.SerializeTo(dst[base:])
+	return dst, nil
+}
+
+// header decodes a fragment AppendReassembled has already validated.
+func header(f []byte) tcpip.IPv4Header {
+	var h tcpip.IPv4Header
+	_ = h.DecodeFromBytes(f) // cannot fail: the first pass decoded f
+	return h
 }
 
 // SwapResult tallies the fragment-substitution error model over one

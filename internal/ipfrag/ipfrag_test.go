@@ -48,6 +48,35 @@ func TestFragmentReassembleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendReassembled pins the appending form: the packet lands after
+// dst's bytes, a rejected set leaves dst as it was, and Reassemble
+// leaves its caller's fragment order alone.
+func TestAppendReassembled(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 3))
+	pkt := buildPacket(rng, 700, tcpip.BuildOptions{})
+	frags, err := Fragment(pkt, 96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev := make([][]byte, len(frags))
+	for i, f := range frags {
+		rev[len(frags)-1-i] = f
+	}
+	first := rev[0]
+	if _, err := Reassemble(rev); err != nil || !bytes.Equal(rev[0], first) {
+		t.Fatalf("Reassemble reordered its input (err %v)", err)
+	}
+	dst := []byte("prefix")
+	out, err := AppendReassembled(dst, rev)
+	if err != nil || string(out[:6]) != "prefix" || !bytes.Equal(out[6:], pkt) {
+		t.Fatalf("AppendReassembled: err %v, %d bytes", err, len(out))
+	}
+	out, err = AppendReassembled(dst, frags[1:])
+	if err != ErrGap || string(out) != "prefix" {
+		t.Errorf("missing first fragment: err %v, dst now %q", err, out)
+	}
+}
+
 func TestFragmentErrors(t *testing.T) {
 	if _, err := Fragment(make([]byte, 10), 576); err != ErrShortPacket {
 		t.Errorf("short packet: %v", err)

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"realsum/internal/atm"
@@ -11,14 +12,20 @@ import (
 
 // Stream is the cell train a channel transmits: the cells plus, for the
 // simulator's bookkeeping only, the index of the sending packet each
-// cell came from.  Channels that drop or duplicate cells must keep the
-// two slices parallel; channels that damage payloads leave Origin
-// alone.  The origin tags are how the receiver knows which sent PDU a
-// delivered trailer claims to terminate — the per-algorithm checksum of
-// that PDU is the notional check value the trailer carried.
+// cell came from and the index of the sent cell it started as.
+// Channels that drop or duplicate cells must keep the three slices
+// parallel; channels that damage payloads leave the tags alone.  The
+// origin tags are how the receiver knows which sent PDU a delivered
+// trailer claims to terminate — the per-algorithm checksum of that PDU
+// is the notional check value the trailer carried.  The source tags are
+// a scoring hint: the receiver compares each delivered cell with its
+// tagged sent cell and reuses that cell's precomputed partial sums only
+// when the 48 payload bytes match, so a damaged cell (or a stale tag)
+// costs a direct sum, never a wrong verdict.
 type Stream struct {
 	Cells  []atm.Cell
 	Origin []int32
+	Src    []int32
 }
 
 // Channel is one fault process.  Transmit damages the stream in place,
@@ -132,6 +139,7 @@ func (d *DropChannel) Transmit(rng *rand.Rand, s *Stream) {
 	d.Policy.StartStream(rng)
 	out := s.Cells[:0]
 	oout := s.Origin[:0]
+	sout := s.Src[:0]
 	cur := int32(-1)
 	for i := range s.Cells {
 		if s.Origin[i] != cur {
@@ -143,9 +151,11 @@ func (d *DropChannel) Transmit(rng *rand.Rand, s *Stream) {
 		}
 		out = append(out, s.Cells[i])
 		oout = append(oout, s.Origin[i])
+		sout = append(sout, s.Src[i])
 	}
 	s.Cells = out
 	s.Origin = oout
+	s.Src = sout
 }
 
 // CellCorrupt damages individual cell payloads: each cell is hit with
@@ -233,55 +243,54 @@ func (c *CellShuffle) Transmit(rng *rand.Rand, s *Stream) {
 // chosen non-trailer cell immediately after itself — the switch fault
 // AAL5 receivers must reject via the trailer's length check, since the
 // candidate then spans one cell more than CellCount(Length) allows.
-// The duplicate carries its original's Origin tag, so accounting still
-// charges the candidate to the packet whose trailer it ends in.
+// The duplicate carries its original's Origin and Src tags, so accounting
+// still charges the candidate to the packet whose trailer it ends in.
 type CellDup struct {
 	PerPacket float64
 
-	cells  []atm.Cell
-	origin []int32
+	dups []int
 }
 
 // Name implements Channel.
 func (c *CellDup) Name() string { return "dup" }
 
-// Transmit implements Channel.  It rebuilds the stream in channel-owned
-// scratch (inserting is not an in-place edit) and copies it back, so
-// the steady state allocates nothing once both buffers have grown.
+// Transmit implements Channel.  It draws every packet's duplicate first,
+// in stream order, then opens the slots in place, so the steady state
+// allocates nothing once the stream's buffers have grown.
 func (c *CellDup) Transmit(rng *rand.Rand, s *Stream) {
-	out := c.cells[:0]
-	oout := c.origin[:0]
-	i := 0
-	for i < len(s.Cells) {
+	c.dups = c.dups[:0]
+	for i := 0; i < len(s.Cells); {
 		j := i
 		for j < len(s.Cells) && !s.Cells[j].Header.EndOfPacket() {
 			j++
 		}
 		if j >= len(s.Cells) {
-			// Stranded tail with no trailer; pass it through.
-			out = append(out, s.Cells[i:]...)
-			oout = append(oout, s.Origin[i:]...)
-			break
+			break // stranded tail with no trailer; it passes through
 		}
 		// Packet cells are [i, j] with the trailer at j; duplicable data
 		// cells are [i, j).
-		dup := -1
 		if j > i && rng.Float64() < c.PerPacket {
-			dup = i + rng.IntN(j-i)
-		}
-		for k := i; k <= j; k++ {
-			out = append(out, s.Cells[k])
-			oout = append(oout, s.Origin[k])
-			if k == dup {
-				out = append(out, s.Cells[k])
-				oout = append(oout, s.Origin[k])
-			}
+			c.dups = append(c.dups, i+rng.IntN(j-i))
 		}
 		i = j + 1
 	}
-	c.cells, c.origin = out, oout
-	s.Cells = append(s.Cells[:0], out...)
-	s.Origin = append(s.Origin[:0], oout...)
+	s.Cells = insertDups(s.Cells, c.dups)
+	s.Origin = insertDups(s.Origin, c.dups)
+	s.Src = insertDups(s.Src, c.dups)
+}
+
+// insertDups repeats x[p] right after itself for every p in the
+// ascending dups, moving elements back from the end so each moves once.
+func insertDups[T any](x []T, dups []int) []T {
+	hi := len(x)
+	x = slices.Grow(x, len(dups))[:hi+len(dups)]
+	for d := len(dups) - 1; d >= 0; d-- {
+		p := dups[d]
+		copy(x[p+d+2:hi+d+1], x[p+1:hi])
+		x[p+d+1] = x[p]
+		hi = p + 1
+	}
+	return x
 }
 
 // splitmix64 is the SplitMix64 finalizer, the mixing step of the

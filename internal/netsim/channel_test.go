@@ -12,7 +12,7 @@ import (
 )
 
 // makeStream segments packets of the given payload sizes into one cell
-// train with origin tags, as the netsim sender does.
+// train with origin and source tags, as the netsim sender does.
 func makeStream(t *testing.T, sizes ...int) Stream {
 	t.Helper()
 	var s Stream
@@ -27,6 +27,7 @@ func makeStream(t *testing.T, sizes ...int) Stream {
 		}
 		for i := len(s.Origin); i < len(cells); i++ {
 			s.Origin = append(s.Origin, int32(k))
+			s.Src = append(s.Src, int32(i))
 		}
 		s.Cells = cells
 	}

@@ -29,9 +29,8 @@
 // per-trial seeds derived by TrialSeed from (rootSeed, fileIdx,
 // channelIdx, trialIdx) only, and the Tally holds nothing but
 // commutatively-merged counters, so reports are byte-identical at any
-// worker count.  The per-trial hot path (ModeTCP) performs no
-// steady-state allocations; ModeUDPFrag allocates in the
-// ipfrag.Reassemble stage only.
+// worker count.  The per-trial hot path performs no steady-state
+// allocations.
 package netsim
 
 import (
@@ -39,6 +38,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"realsum/internal/algo"
 	"realsum/internal/atm"
@@ -241,7 +241,6 @@ type worker struct {
 	algos []algo.Algorithm
 	chans []Channel
 	tally *Tally
-	aal5  *crc.Table
 
 	// Placement scoring: indexes into each ChannelTally.Placements for
 	// the enabled placements (-1 when disabled).
@@ -253,26 +252,60 @@ type worker struct {
 	compBuf []byte
 
 	// Sender state for the current file.
-	pduArena []byte // concatenated sent PDUs (cell payloads incl. padding + trailer)
-	pduOff   []int  // PDU k spans pduArena[pduOff[k]:pduOff[k+1]]
-	pktLen   []int  // transported packet length within PDU k
-	cells    []atm.Cell
-	origin   []int32
-	dgArena  []byte // ModeUDPFrag: original unfragmented IP packets
-	dgOff    []int
-	fragDG   []int // PDU index -> datagram index
-	sums     []uint64
-	segSums  []uint64 // per-segment placement: Sum over sent segment bytes
-	sentCk   []uint16 // per-segment placement: sent TCP checksum field per packet
-	pktBuf   []byte
+	pduArena    []byte       // concatenated sent PDUs (cell payloads incl. padding + trailer)
+	pduOff      []int        // PDU k spans pduArena[pduOff[k]:pduOff[k+1]]
+	pktLen      []int        // transported packet length within PDU k
+	hdrs        []atm.Header // sent cell c is hdrs[c] with payload pduArena[48c:48c+48]
+	origin      []int32
+	dgArena     []byte // ModeUDPFrag: original unfragmented IP packets
+	dgOff       []int
+	fragDG      []int // PDU index -> datagram index
+	sums        []uint64
+	segSums     []uint64  // per-segment placement: Sum over sent segment bytes
+	sentCk      []uint16  // per-segment placement: sent TCP checksum field per packet
+	sentVerdict []verdict // the receiver battery's verdict on each sent PDU
+	pktBuf      []byte
+	segBuf      []atm.Cell // one packet's cells, as AppendSegment builds them
+
+	// Cell-composed scoring.  The partial columns are one algo.Stride
+	// over 48-byte cells per scored algorithm, then the AAL5 CRC-32's
+	// crc.Table.RawPartial.  cellPart holds, computed once per file, row c
+	// of every column's partial of sent cell c, packed into 32-bit words:
+	// column j at colOff[j], in two words (low first) when it is wider
+	// than 32 bits.  A delivery is scored by matching each cell with a
+	// sent cell — its tagged source, or another cell of the source's
+	// packet — by a 48-byte compare: a matched cell folds in the
+	// precomputed partials, a damaged one is summed directly.  algo.Sum
+	// over the delivered bytes is the slow oracle the tests hold this to.
+	strides  []algo.Stride
+	colOff   []int // len(strides)+2 entries; the last is the row length
+	cellPart []uint32
+	row      []uint64 // one cell's partials, unpacked
+
+	// Per-candidate verdicts, filled by judge.  intact and segIntact say
+	// the candidate (or its segment span) equals the sent bytes; when the
+	// candidate is not intact, pdu holds its bytes, e2eOK[a]/segOK[a] say
+	// algorithm a's check passes it anyway (its sum collides), and
+	// aal5Reg is the raw AAL5 register over all of its bytes.  match,
+	// gather, e2eSum and segSum are judge's scratch.
+	intact, segIntact bool
+	recvLen           int
+	pdu               []byte
+	e2eOK, segOK      []bool
+	aal5Reg           uint64
+	match             []int32
+	gather            []uint64
+	e2eSum, segSum    []uint64
+	// audit, set only by tests, sees every candidate judge scored.
+	audit func(p int, cells []atm.Cell)
 
 	// Per-trial scratch.
 	work      Stream
-	pdu       []byte
 	delivered []bool
 	fragArena []byte
 	fragRefs  []fragRef
 	frags     [][]byte
+	dgBuf     []byte // the reassembled datagram
 	pcg       *rand.PCG
 	rng       *rand.Rand
 
@@ -283,13 +316,12 @@ type worker struct {
 	// retPending[p*laneStride+l] says lane l of packet p has not yet
 	// accepted a delivery this trial; retries run until every lane
 	// settles or the retry cap exhausts them.  trialSeed feeds the
-	// RetrySeed sub-stream; retWork/retPdu are the retry attempt's
-	// channel stream and reassembly buffer.
+	// RetrySeed sub-stream; retWork is the retry attempt's channel
+	// stream.
 	laneStride int
 	trialSeed  uint64
 	retPending []bool
 	retWork    Stream
-	retPdu     []byte
 }
 
 func newWorker(cfg Config) *worker {
@@ -312,17 +344,33 @@ func newWorker(cfg Config) *worker {
 	if cfg.Compress {
 		comp = lz.NewCompressor()
 	}
+	algos := cfg.algorithms()
+	strides := make([]algo.Stride, len(algos))
+	for i, a := range algos {
+		strides[i] = a.Stride(atm.PayloadSize)
+	}
+	colOff := []int{0}
+	for _, a := range algos {
+		colOff = append(colOff, colOff[len(colOff)-1]+(a.Width()+31)/32)
+	}
+	colOff = append(colOff, colOff[len(colOff)-1]+1)
 	w := &worker{
-		cfg:    cfg,
-		comp:   comp,
-		algos:  cfg.algorithms(),
-		chans:  chans,
-		tally:  NewTally(cfg),
-		aal5:   crc.New(crc.CRC32),
-		e2eIdx: e2eIdx,
-		segIdx: segIdx,
-		pcg:    pcg,
-		rng:    rand.New(pcg),
+		cfg:     cfg,
+		comp:    comp,
+		algos:   algos,
+		chans:   chans,
+		tally:   NewTally(cfg),
+		e2eIdx:  e2eIdx,
+		segIdx:  segIdx,
+		strides: strides,
+		colOff:  colOff,
+		row:     make([]uint64, len(algos)+1),
+		e2eOK:   make([]bool, len(algos)),
+		segOK:   make([]bool, len(algos)),
+		e2eSum:  make([]uint64, len(algos)),
+		segSum:  make([]uint64, len(algos)),
+		pcg:     pcg,
+		rng:     rand.New(pcg),
 	}
 	if cfg.Retrans {
 		w.laneStride = len(cfg.placements()) * (len(w.algos) + 1)
@@ -361,30 +409,32 @@ func (w *worker) reset() {
 	w.pduArena = w.pduArena[:0]
 	w.pduOff = append(w.pduOff[:0], 0)
 	w.pktLen = w.pktLen[:0]
-	w.cells = w.cells[:0]
+	w.hdrs = w.hdrs[:0]
 	w.origin = w.origin[:0]
+	w.cellPart = w.cellPart[:0]
 	w.dgArena = w.dgArena[:0]
 	w.dgOff = append(w.dgOff[:0], 0)
 	w.fragDG = w.fragDG[:0]
 	w.sums = w.sums[:0]
 	w.segSums = w.segSums[:0]
 	w.sentCk = w.sentCk[:0]
+	w.sentVerdict = w.sentVerdict[:0]
 }
 
 // addPDU segments one transported packet into AAL5 cells and records
 // its sent PDU (the exact cell payload bytes, padding and trailer
 // included — the unit every algorithm is scored over).
 func (w *worker) addPDU(pkt []byte) {
-	base := len(w.cells)
-	cells, err := atm.AppendSegment(w.cells, pkt, 0, 32)
+	cells, err := atm.AppendSegment(w.segBuf[:0], pkt, 0, 32)
 	if err != nil {
 		panic(fmt.Sprintf("netsim: segmenting %d-byte packet: %v", len(pkt), err))
 	}
-	w.cells = cells
+	w.segBuf = cells
 	k := int32(len(w.pduOff) - 1)
-	for i := base; i < len(w.cells); i++ {
+	for i := range cells {
 		w.origin = append(w.origin, k)
-		w.pduArena = append(w.pduArena, w.cells[i].Payload[:]...)
+		w.hdrs = append(w.hdrs, cells[i].Header)
+		w.pduArena = append(w.pduArena, cells[i].Payload[:]...)
 	}
 	w.pduOff = append(w.pduOff, len(w.pduArena))
 	w.pktLen = append(w.pktLen, len(pkt))
@@ -460,27 +510,188 @@ func (w *worker) buildUDP(data []byte) {
 	}
 }
 
-// computeSums precomputes every algorithm's checksum of every sent PDU
-// — the notional carried check values — once per file, so trials only
-// checksum the received side.  When the per-segment placement is
-// enabled it also precomputes each algorithm's sum over the sent
-// segment bytes (the PDU minus AAL5 padding and trailer) and the TCP
-// checksum field value each packet transmitted, the trailer-position
-// check material.
+// aal5 is the AAL5 trailer's CRC-32 and aal5Shift its shift past one
+// cell; both are immutable and shared by every worker.
+var (
+	aal5      = crc.New(crc.CRC32)
+	aal5Shift = aal5.NewShift(atm.PayloadSize)
+)
+
+// cellSpan returns the sent cells [lo, hi) of PDU k.
+func (w *worker) cellSpan(k int) (lo, hi int) {
+	return w.pduOff[k] / atm.PayloadSize, w.pduOff[k+1] / atm.PayloadSize
+}
+
+// computeSums precomputes, once per file, every stride's partial of
+// every sent cell and from them every algorithm's checksum of every sent
+// PDU — the notional carried check values — and the receiver battery's
+// verdict on every sent PDU, so trials only score the received side.
+// When the per-segment placement is enabled it also records each
+// algorithm's sum over the sent segment bytes (the PDU minus AAL5
+// padding and trailer) and the TCP checksum field value each packet
+// transmitted, the trailer-position check material.
 func (w *worker) computeSums() {
-	for k := 0; k+1 < len(w.pduOff); k++ {
-		pdu := w.pduArena[w.pduOff[k]:w.pduOff[k+1]]
-		for _, a := range w.algos {
-			w.sums = append(w.sums, algo.Sum(a, pdu))
-		}
-		if w.segIdx >= 0 {
-			seg := pdu[:w.pktLen[k]]
-			for _, a := range w.algos {
-				w.segSums = append(w.segSums, algo.Sum(a, seg))
+	for c := range w.hdrs {
+		w.partials(w.pduArena[c*atm.PayloadSize:][:atm.PayloadSize], w.row, 1)
+		for j, v := range w.row {
+			w.cellPart = append(w.cellPart, uint32(v))
+			if w.colOff[j+1]-w.colOff[j] == 2 {
+				w.cellPart = append(w.cellPart, uint32(v>>32))
 			}
-			w.sentCk = append(w.sentCk, tcpip.StoredTCPChecksum(seg))
 		}
 	}
+	for k := 0; k+1 < len(w.pduOff); k++ {
+		lo, hi := w.cellSpan(k)
+		w.match = w.match[:0]
+		for c := lo; c < hi; c++ {
+			w.match = append(w.match, int32(c))
+		}
+		w.compose(w.pduArena[w.pduOff[k]:w.pduOff[k+1]], w.match, w.pktLen[k])
+		w.sums = append(w.sums, w.e2eSum...)
+		v, _ := w.battery(w.pduArena[w.pduOff[k]:w.pduOff[k+1]], hi-lo, k)
+		w.sentVerdict = append(w.sentVerdict, v)
+		if w.segIdx >= 0 {
+			w.segSums = append(w.segSums, w.segSum...)
+			w.sentCk = append(w.sentCk, tcpip.StoredTCPChecksum(w.pduArena[w.pduOff[k]:][:w.pktLen[k]]))
+		}
+	}
+}
+
+// compose fills e2eSum[a] and segSum[a] with algorithm a's checksum of
+// pdu, a train of whole cells, and of its first n bytes (the segment
+// span), and aal5Reg with its raw AAL5 register.  Cell k with match[k]
+// ≥ 0 equals that sent cell and folds in its partials; a damaged cell
+// (match[k] < 0) is summed directly, and so is the short last cell of
+// the segment span.
+func (w *worker) compose(pdu []byte, match []int32, n int) {
+	nc, nA := len(pdu)/atm.PayloadSize, len(w.algos)
+	nCol, rowLen := nA+1, w.colOff[nA+1]
+	if cap(w.gather) < nc*nCol {
+		w.gather = make([]uint64, nc*nCol)
+	}
+	g := w.gather[:nc*nCol]
+	for k := 0; k < nc; k++ {
+		s := match[k]
+		if s < 0 {
+			w.partials(pdu[k*atm.PayloadSize:][:atm.PayloadSize], g[k:], nc)
+			continue
+		}
+		row := w.cellPart[int(s)*rowLen:][:rowLen]
+		for j := 0; j < nCol; j++ {
+			o := w.colOff[j]
+			v := uint64(row[o])
+			if w.colOff[j+1]-o == 2 {
+				v |= uint64(row[o+1]) << 32
+			}
+			g[j*nc+k] = v
+		}
+	}
+	m, tail := n/atm.PayloadSize, n%atm.PayloadSize
+	if m >= nc {
+		m, tail = nc, 0
+	}
+	for a, s := range w.strides[:nA] {
+		parts := g[a*nc : (a+1)*nc]
+		st := s.Fold(s.Start(), parts[:m])
+		if w.segIdx >= 0 {
+			seg := st
+			if tail > 0 {
+				seg = s.Tail(st, pdu[m*atm.PayloadSize:][:tail])
+			}
+			w.segSum[a] = s.Sum(seg)
+		}
+		w.e2eSum[a] = s.Sum(s.Fold(st, parts[m:]))
+	}
+	reg := aal5.RawInit()
+	for _, p := range g[nA*nc:] {
+		reg = aal5Shift.Fold(reg, p)
+	}
+	w.aal5Reg = reg
+}
+
+// partials writes column j's partial of one cell to dst[j*stride].
+func (w *worker) partials(cell []byte, dst []uint64, stride int) {
+	for j, s := range w.strides {
+		dst[j*stride] = s.Partial(cell)
+	}
+	dst[len(w.strides)*stride] = aal5.RawPartial(cell)
+}
+
+// judge scores one candidate — delivered cells (with their source tags)
+// ending in a trailer that claims sent PDU p — into the worker's verdict
+// fields, for the primary transmission and every retry alike.  A
+// candidate whose cells are exactly p's sent cells, in order, is intact
+// without touching its bytes; any other candidate is assembled into pdu
+// and compared byte for byte, and a corrupted one is scored by compose.
+func (w *worker) judge(p int, cells []atm.Cell, src []int32) {
+	lo, hi := w.cellSpan(p)
+	w.recvLen = len(cells) * atm.PayloadSize
+	intact := len(cells) == hi-lo
+	w.match = w.match[:0]
+	for k := range cells {
+		m := w.matchCell(&cells[k], src[k])
+		w.match = append(w.match, m)
+		intact = intact && int(m) == lo+k
+	}
+	if !intact {
+		w.pdu = w.pdu[:0]
+		for k := range cells {
+			w.pdu = append(w.pdu, cells[k].Payload[:]...)
+		}
+		intact = bytes.Equal(w.pdu, w.pduArena[w.pduOff[p]:w.pduOff[p+1]])
+	}
+	w.intact, w.segIntact = intact, intact
+	if !intact {
+		n := w.pktLen[p]
+		if w.segIdx >= 0 {
+			w.segIntact = bytes.Equal(w.pdu[:min(n, len(w.pdu))], w.pduArena[w.pduOff[p]:][:n])
+		}
+		w.compose(w.pdu, w.match, n)
+		base := p * len(w.algos)
+		for a := range w.algos {
+			w.e2eOK[a] = w.e2eSum[a] == w.sums[base+a]
+			w.segOK[a] = w.segIntact || w.segIdx >= 0 && w.segSum[a] == w.segSums[base+a]
+		}
+	}
+	if w.audit != nil {
+		w.audit(p, cells)
+	}
+}
+
+// matchCell returns the sent cell whose payload c carries: its tagged
+// source, or else another cell of the source's packet — where the
+// reorder and misinsert channels move payloads — or -1 for a damaged
+// cell.
+func (w *worker) matchCell(c *atm.Cell, src int32) int32 {
+	if c.Payload == *w.sentPayload(int(src)) {
+		return src
+	}
+	lo, hi := w.cellSpan(int(w.origin[src]))
+	for i := lo; i < hi; i++ {
+		if c.Payload == *w.sentPayload(i) {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
+// sentPayload returns sent cell c's payload.
+func (w *worker) sentPayload(c int) *[atm.PayloadSize]byte {
+	return (*[atm.PayloadSize]byte)(w.pduArena[c*atm.PayloadSize:])
+}
+
+// send loads sent cells [lo, hi) into s, each tagged with its packet
+// and, as its source, itself.
+func (w *worker) send(s *Stream, lo, hi int) {
+	n := hi - lo
+	s.Cells = slices.Grow(s.Cells[:0], n)[:n]
+	s.Src = slices.Grow(s.Src[:0], n)[:n]
+	for i := range s.Cells {
+		s.Cells[i].Header = w.hdrs[lo+i]
+		s.Cells[i].Payload = *w.sentPayload(lo + i)
+		s.Src[i] = int32(lo + i)
+	}
+	s.Origin = append(s.Origin[:0], w.origin[lo:hi]...)
 }
 
 // trial pushes the file's cell train through one channel once and
@@ -490,14 +701,13 @@ func (w *worker) trial(fileIdx, chanIdx, trial int) {
 	w.trialSeed = TrialSeed(w.cfg.Seed, fileIdx, chanIdx, trial)
 	w.pcg.Seed(w.trialSeed, 0xAA15)
 
-	w.work.Cells = append(w.work.Cells[:0], w.cells...)
-	w.work.Origin = append(w.work.Origin[:0], w.origin...)
+	w.send(&w.work, 0, len(w.hdrs))
 	w.chans[chanIdx].Transmit(w.rng, &w.work)
 
 	nPkts := len(w.pduOff) - 1
 	ct.Trials++
 	ct.PacketsSent += uint64(nPkts)
-	ct.CellsSent += uint64(len(w.cells))
+	ct.CellsSent += uint64(len(w.hdrs))
 	ct.CellsDelivered += uint64(len(w.work.Cells))
 	ct.Bytes += uint64(len(w.pduArena))
 
@@ -518,15 +728,12 @@ func (w *worker) trial(fileIdx, chanIdx, trial int) {
 	w.fragArena = w.fragArena[:0]
 	w.fragRefs = w.fragRefs[:0]
 
-	w.pdu = w.pdu[:0]
 	start := 0
 	for i := range w.work.Cells {
-		w.pdu = append(w.pdu, w.work.Cells[i].Payload[:]...)
 		if !w.work.Cells[i].Header.EndOfPacket() {
 			continue
 		}
-		w.score(ct, int(w.work.Origin[i]), w.work.Cells[start:i+1])
-		w.pdu = w.pdu[:0]
+		w.score(ct, int(w.work.Origin[i]), w.work.Cells[start:i+1], w.work.Src[start:i+1])
 		start = i + 1
 	}
 	for _, d := range w.delivered {
@@ -547,28 +754,27 @@ func (w *worker) trial(fileIdx, chanIdx, trial int) {
 // score classifies one delivered candidate (the cells up to a delivered
 // trailer) against the sent PDU its trailer claims, and asks every
 // algorithm under every enabled placement whether it would have caught
-// the difference.
-func (w *worker) score(ct *ChannelTally, origin int, cells []atm.Cell) {
+// the difference.  judge's verdicts serve the open-loop counters, the
+// first transmission's retransmission lanes and the receiver battery.
+func (w *worker) score(ct *ChannelTally, origin int, cells []atm.Cell, src []int32) {
 	ct.PDUsDelivered++
 	w.delivered[origin] = true
-	sent := w.pduArena[w.pduOff[origin]:w.pduOff[origin+1]]
-	corrupted := !bytes.Equal(w.pdu, sent)
-	if !corrupted {
+	w.judge(origin, cells, src)
+	if w.intact {
 		ct.Intact++
 	} else {
 		ct.Corrupted++
-		ct.ErrClass.note(w.pdu, sent)
+		ct.ErrClass.note(w.pdu, w.pduArena[w.pduOff[origin]:w.pduOff[origin+1]])
 	}
 	if w.e2eIdx >= 0 {
 		pt := &ct.Placements[w.e2eIdx]
 		pt.Delivered++
-		if !corrupted {
+		if w.intact {
 			pt.Intact++
 		} else {
 			pt.Corrupted++
-			base := origin * len(w.algos)
-			for a, alg := range w.algos {
-				if algo.Sum(alg, w.pdu) == w.sums[base+a] {
+			for a := range w.algos {
+				if w.e2eOK[a] {
 					pt.Algos[a].Undetected++
 				} else {
 					pt.Algos[a].Detected++
@@ -580,9 +786,9 @@ func (w *worker) score(ct *ChannelTally, origin int, cells []atm.Cell) {
 		w.scoreSegment(&ct.Placements[w.segIdx], origin)
 	}
 	if w.cfg.Retrans {
-		w.judgeArrival(ct, origin, w.pdu, 1)
+		w.judgeArrival(ct, origin, 1)
 	}
-	w.pipeline(ct, origin, cells, corrupted)
+	w.pipeline(ct, origin, len(cells))
 }
 
 // scoreSegment scores one delivered candidate at TCP-segment
@@ -601,25 +807,19 @@ func (w *worker) score(ct *ChannelTally, origin int, cells []atm.Cell) {
 // against the sum recomputed over the received bytes.
 func (w *worker) scoreSegment(pt *PlacementTally, origin int) {
 	pt.Delivered++
-	n := w.pktLen[origin]
-	recv := w.pdu
-	if len(recv) > n {
-		recv = recv[:n]
-	}
-	sentSeg := w.pduArena[w.pduOff[origin] : w.pduOff[origin]+n]
-	if bytes.Equal(recv, sentSeg) {
+	if w.segIntact {
 		pt.Intact++
 		return
 	}
 	pt.Corrupted++
-	base := origin * len(w.algos)
-	for a, alg := range w.algos {
-		if algo.Sum(alg, recv) == w.segSums[base+a] {
+	for a := range w.algos {
+		if w.segOK[a] {
 			pt.Algos[a].Undetected++
 		} else {
 			pt.Algos[a].Detected++
 		}
 	}
+	recv := w.pdu[:min(w.pktLen[origin], len(w.pdu))]
 	stored, want, ok := tcpip.SegmentCheckValue(recv)
 	if ok && onescomp.Congruent(stored, want) {
 		pt.HeaderPos.Undetected++
@@ -652,70 +852,48 @@ func diffBytes(recv, sent []byte) uint64 {
 }
 
 // judgeArrival lets every still-pending retransmission lane of packet p
-// judge one arriving candidate (recv = the reassembled candidate bytes
-// claiming p) delivered by transmission number tx.  A lane whose check
-// passes the arrival accepts it — corrupt bytes and all — and settles;
-// a lane whose check fails stays pending for the next retransmission.
-// The primary per-algorithm Detected/Undetected counters are not
-// touched: retransmission only ever adds to the Retrans/Oracle lanes.
-func (w *worker) judgeArrival(ct *ChannelTally, p int, recv []byte, tx uint64) {
+// judge the candidate judge just scored, delivered by transmission
+// number tx.  A lane whose check passes the arrival accepts it —
+// corrupt bytes and all — and settles; a lane whose check fails stays
+// pending for the next retransmission.  The primary per-algorithm
+// Detected/Undetected counters are not touched: retransmission only
+// ever adds to the Retrans/Oracle lanes.
+func (w *worker) judgeArrival(ct *ChannelTally, p int, tx uint64) {
 	nAlgos := len(w.algos)
 	pduLen := uint64(w.pduOff[p+1] - w.pduOff[p])
 	laneBase := p * w.laneStride
 	if w.e2eIdx >= 0 {
-		pt := &ct.Placements[w.e2eIdx]
-		lb := laneBase + w.e2eIdx*(nAlgos+1)
-		sent := w.pduArena[w.pduOff[p]:w.pduOff[p+1]]
-		intact := bytes.Equal(recv, sent)
-		diff, diffDone := uint64(0), intact
-		sumBase := p * nAlgos
-		for a, alg := range w.algos {
-			if !w.retPending[lb+a] {
-				continue
-			}
-			if intact || algo.Sum(alg, recv) == w.sums[sumBase+a] {
-				if !diffDone {
-					diff = diffBytes(recv, sent)
-					diffDone = true
-				}
-				pt.Retrans[a].accept(tx, pduLen, uint64(len(recv)), diff)
-				w.retPending[lb+a] = false
-			}
-		}
-		if w.retPending[lb+nAlgos] && intact {
-			pt.Oracle.accept(tx, pduLen, uint64(len(recv)), 0)
-			w.retPending[lb+nAlgos] = false
-		}
+		w.settleLanes(&ct.Placements[w.e2eIdx], laneBase+w.e2eIdx*(nAlgos+1), tx, pduLen,
+			w.intact, w.e2eOK, w.recvLen, w.pduArena[w.pduOff[p]:w.pduOff[p+1]])
 	}
 	if w.segIdx >= 0 {
-		pt := &ct.Placements[w.segIdx]
-		lb := laneBase + w.segIdx*(nAlgos+1)
 		n := w.pktLen[p]
-		segRecv := recv
-		if len(segRecv) > n {
-			segRecv = segRecv[:n]
+		w.settleLanes(&ct.Placements[w.segIdx], laneBase+w.segIdx*(nAlgos+1), tx, pduLen,
+			w.segIntact, w.segOK, min(n, w.recvLen), w.pduArena[w.pduOff[p]:][:n])
+	}
+}
+
+// settleLanes applies one placement's verdicts to its pending lanes
+// starting at lane lb: the recvLen received bytes are intact, or each
+// algorithm's check passes them per ok; sent is the span they are
+// diffed against when a corrupt arrival is accepted.
+func (w *worker) settleLanes(pt *PlacementTally, lb int, tx, pduLen uint64, intact bool, ok []bool, recvLen int, sent []byte) {
+	nAlgos := len(w.algos)
+	diff, diffDone := uint64(0), intact
+	for a := 0; a < nAlgos; a++ {
+		if !w.retPending[lb+a] || !(intact || ok[a]) {
+			continue
 		}
-		sentSeg := w.pduArena[w.pduOff[p] : w.pduOff[p]+n]
-		intact := bytes.Equal(segRecv, sentSeg)
-		diff, diffDone := uint64(0), intact
-		sumBase := p * nAlgos
-		for a, alg := range w.algos {
-			if !w.retPending[lb+a] {
-				continue
-			}
-			if intact || algo.Sum(alg, segRecv) == w.segSums[sumBase+a] {
-				if !diffDone {
-					diff = diffBytes(segRecv, sentSeg)
-					diffDone = true
-				}
-				pt.Retrans[a].accept(tx, pduLen, uint64(len(segRecv)), diff)
-				w.retPending[lb+a] = false
-			}
+		if !diffDone {
+			diff = diffBytes(w.pdu[:recvLen], sent)
+			diffDone = true
 		}
-		if w.retPending[lb+nAlgos] && intact {
-			pt.Oracle.accept(tx, pduLen, uint64(len(segRecv)), 0)
-			w.retPending[lb+nAlgos] = false
-		}
+		pt.Retrans[a].accept(tx, pduLen, uint64(recvLen), diff)
+		w.retPending[lb+a] = false
+	}
+	if w.retPending[lb+nAlgos] && intact {
+		pt.Oracle.accept(tx, pduLen, uint64(recvLen), 0)
+		w.retPending[lb+nAlgos] = false
 	}
 }
 
@@ -747,24 +925,22 @@ func (w *worker) retryPacket(ct *ChannelTally, chanIdx, p int) {
 		return
 	}
 	retryCap := w.cfg.retryCap()
-	cellLo := w.pduOff[p] / atm.PayloadSize
-	cellHi := w.pduOff[p+1] / atm.PayloadSize
+	cellLo, cellHi := w.cellSpan(p)
 	tx := uint64(1)
 	for attempt := 1; attempt <= retryCap && w.lanesPending(p); attempt++ {
 		tx = uint64(attempt) + 1
 		w.pcg.Seed(RetrySeed(w.trialSeed, p, attempt), 0xAA15)
-		w.retWork.Cells = append(w.retWork.Cells[:0], w.cells[cellLo:cellHi]...)
-		w.retWork.Origin = append(w.retWork.Origin[:0], w.origin[cellLo:cellHi]...)
+		w.send(&w.retWork, cellLo, cellHi)
 		w.chans[chanIdx].Transmit(w.rng, &w.retWork)
 
-		w.retPdu = w.retPdu[:0]
+		start := 0
 		for i := range w.retWork.Cells {
-			w.retPdu = append(w.retPdu, w.retWork.Cells[i].Payload[:]...)
 			if !w.retWork.Cells[i].Header.EndOfPacket() {
 				continue
 			}
-			w.judgeArrival(ct, p, w.retPdu, tx)
-			w.retPdu = w.retPdu[:0]
+			w.judge(p, w.retWork.Cells[start:i+1], w.retWork.Src[start:i+1])
+			w.judgeArrival(ct, p, tx)
+			start = i + 1
 		}
 	}
 	// Exhaust whatever never accepted: tx transmissions were spent on
@@ -791,56 +967,100 @@ func (w *worker) retryPacket(ct *ChannelTally, chanIdx, p int) {
 	}
 }
 
+// verdict is the structural receiver battery's outcome for one
+// candidate: the first check that rejected it, or acceptance.
+type verdict uint8
+
+const (
+	vAccepted        verdict = iota
+	vAcceptedCorrupt         // accepted, but the SDU differs from the sent packet
+	vFraming
+	vCRC
+	vHeader
+	vChecksum
+	vFragment // ModeUDPFrag: an AAL5-accepted fragment, queued for reassembly
+)
+
 // pipeline runs the structural receiver battery a real endpoint
-// applies: AAL5 framing and CRC-32, then either the TCP/IP header and
-// checksum checks (ModeTCP) or fragment queueing for IP reassembly
-// (ModeUDPFrag).  Candidates contain no interior end-of-packet cell by
-// construction, so the framing checks reduce to the trailer's length
-// consistency.
-func (w *worker) pipeline(ct *ChannelTally, origin int, cells []atm.Cell, corrupted bool) {
+// applies on the candidate judge just scored and counts its verdict.
+// An intact candidate is the sent PDU, so it takes the sent PDU's
+// verdict, computed once per file: nearly always acceptance, but a TCP
+// packet with under two payload bytes is below VerifyPacket's length
+// floor and counts as a checksum rejection, exactly as when every
+// delivery ran the battery (TestSentPDUsPassReceiver).
+func (w *worker) pipeline(ct *ChannelTally, origin, nCells int) {
+	v, sdu := w.sentVerdict[origin], w.pduArena[w.pduOff[origin]:][:w.pktLen[origin]]
+	if !w.intact {
+		v, sdu = w.battery(w.pdu, nCells, origin)
+	}
 	p := &ct.Pipeline
-	pdu := w.pdu
-	if len(pdu) < atm.TrailerSize {
+	switch v {
+	case vAccepted:
+		p.Accepted++
+	case vAcceptedCorrupt:
+		p.AcceptedCorrupt++
+	case vFraming:
 		p.Framing++
-		return
-	}
-	tr := atm.DecodeTrailer(pdu[len(pdu)-atm.TrailerSize:])
-	if atm.CellCount(int(tr.Length)) != len(cells) {
-		p.Framing++
-		return
-	}
-	if uint32(w.aal5.Checksum(pdu[:len(pdu)-4])) != tr.CRC {
+	case vCRC:
 		p.CRC++
-		return
-	}
-	sdu := pdu[:tr.Length]
-	if w.cfg.Mode == ModeUDPFrag {
+	case vHeader:
+		p.Header++
+	case vChecksum:
+		p.Checksum++
+	case vFragment:
 		p.FragDelivered++
 		off := len(w.fragArena)
 		w.fragArena = append(w.fragArena, sdu...)
 		w.fragRefs = append(w.fragRefs, fragRef{dg: w.fragDG[origin], off: off, n: len(sdu)})
-		return
-	}
-	if tcpip.ValidateHeaders(sdu, w.cfg.buildOptions()) != nil {
-		p.Header++
-		return
-	}
-	if !tcpip.VerifyPacket(sdu, w.cfg.buildOptions()) {
-		p.Checksum++
-		return
-	}
-	sentPkt := w.pduArena[w.pduOff[origin] : w.pduOff[origin]+w.pktLen[origin]]
-	if bytes.Equal(sdu, sentPkt) {
-		p.Accepted++
-	} else {
-		p.AcceptedCorrupt++
 	}
 }
 
+// battery runs the receiver checks on candidate bytes pdu, nCells cells
+// claiming sent PDU origin, whose composed AAL5 register is aal5Reg:
+// AAL5 framing and CRC-32, then either the TCP/IP header and checksum
+// checks (ModeTCP) or fragment queueing for IP reassembly (ModeUDPFrag).
+// Candidates contain no interior end-of-packet cell by construction, so
+// the framing checks reduce to the trailer's length consistency.  It
+// returns the verdict and the AAL5 SDU.
+func (w *worker) battery(pdu []byte, nCells, origin int) (verdict, []byte) {
+	if len(pdu) < atm.TrailerSize {
+		return vFraming, nil
+	}
+	tr := atm.DecodeTrailer(pdu[len(pdu)-atm.TrailerSize:])
+	if atm.CellCount(int(tr.Length)) != nCells {
+		return vFraming, nil
+	}
+	if !w.aal5OK(pdu, tr.CRC) {
+		return vCRC, nil
+	}
+	sdu := pdu[:tr.Length]
+	if w.cfg.Mode == ModeUDPFrag {
+		return vFragment, sdu
+	}
+	if tcpip.ValidateHeaders(sdu, w.cfg.buildOptions()) != nil {
+		return vHeader, sdu
+	}
+	if !tcpip.VerifyPacket(sdu, w.cfg.buildOptions()) {
+		return vChecksum, sdu
+	}
+	if bytes.Equal(sdu, w.pduArena[w.pduOff[origin]:][:w.pktLen[origin]]) {
+		return vAccepted, sdu
+	}
+	return vAcceptedCorrupt, sdu
+}
+
+// aal5OK reports whether the trailer's CRC field holds the AAL5 CRC-32
+// of the candidate pdu's bytes ahead of it, from the composed register
+// over all of pdu: the field is right iff the register it claims,
+// extended over the field's own 4 bytes, reaches aal5Reg — the
+// extension is a bijection on registers, so the two tests agree.
+func (w *worker) aal5OK(pdu []byte, field uint32) bool {
+	return aal5.RawUpdate(aal5.RawFromCRC(uint64(field)), pdu[len(pdu)-4:]) == w.aal5Reg
+}
+
 // reassembleDatagrams feeds the AAL5-accepted fragments of each
-// datagram through ipfrag.Reassemble and the UDP checksum — the
-// end-to-end receiver of ModeUDPFrag.  ipfrag builds the reassembled
-// packet afresh, so this stage (alone) allocates.
+// datagram through IP reassembly and the UDP checksum — the end-to-end
+// receiver of ModeUDPFrag — reassembling into one reused buffer.
 func (w *worker) reassembleDatagrams(ct *ChannelTally) {
 	p := &ct.Pipeline
 	for d := 0; d+1 < len(w.dgOff); d++ {
@@ -854,7 +1074,8 @@ func (w *worker) reassembleDatagrams(ct *ChannelTally) {
 			p.DatagramsLost++
 			continue
 		}
-		out, err := ipfrag.Reassemble(w.frags)
+		out, err := ipfrag.AppendReassembled(w.dgBuf[:0], w.frags)
+		w.dgBuf = out
 		if err != nil {
 			p.FragReject++
 			continue

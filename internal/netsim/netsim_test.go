@@ -261,18 +261,21 @@ func TestNetsimUDPFragAccounting(t *testing.T) {
 
 // TestNetsimZeroAllocTrial guards the per-trial hot path: after one
 // warm-up pass over a file, repeated trials on every default channel
-// must not allocate (ModeTCP).
+// must not allocate, in either transport mode (ModeUDPFrag's IP
+// reassembly included).
 func TestNetsimZeroAllocTrial(t *testing.T) {
-	w := newWorker(Config{Trials: 2, Seed: 9})
-	data := varied(8192)
-	w.file(0, data) // warm-up: sizes every reusable buffer
-	for c := range w.chans {
-		c := c
-		allocs := testing.AllocsPerRun(20, func() {
-			w.trial(0, c, 0)
-		})
-		if allocs != 0 {
-			t.Errorf("channel %s: %v allocs per trial, want 0", w.tally.Channels[c].Name, allocs)
+	for _, mode := range []Mode{ModeTCP, ModeUDPFrag} {
+		w := newWorker(Config{Mode: mode, Trials: 2, Seed: 9})
+		data := varied(8192)
+		w.file(0, data) // warm-up: sizes every reusable buffer
+		for c := range w.chans {
+			c := c
+			allocs := testing.AllocsPerRun(20, func() {
+				w.trial(0, c, 0)
+			})
+			if allocs != 0 {
+				t.Errorf("%s channel %s: %v allocs per trial, want 0", mode, w.tally.Channels[c].Name, allocs)
+			}
 		}
 	}
 }

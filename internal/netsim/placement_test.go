@@ -126,15 +126,18 @@ func (headSplice) Name() string { return "headsplice" }
 func (headSplice) Transmit(_ *rand.Rand, s *Stream) {
 	out := s.Cells[:0]
 	oout := s.Origin[:0]
+	sout := s.Src[:0]
 	for i := range s.Cells {
 		eop := s.Cells[i].Header.EndOfPacket()
 		if (s.Origin[i] == 0 && !eop) || (s.Origin[i] == 1 && eop) {
 			out = append(out, s.Cells[i])
 			oout = append(oout, s.Origin[i])
+			sout = append(sout, s.Src[i])
 		}
 	}
 	s.Cells = out
 	s.Origin = oout
+	s.Src = sout
 }
 
 // TestNetsimHeadSplicePlacement reproduces the paper's Table 9 claim by

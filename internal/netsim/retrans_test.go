@@ -15,6 +15,7 @@ func (deadChannel) Name() string { return "dead" }
 func (deadChannel) Transmit(_ *rand.Rand, s *Stream) {
 	s.Cells = s.Cells[:0]
 	s.Origin = s.Origin[:0]
+	s.Src = s.Src[:0]
 }
 
 // TestRetransWorkersDeterministic extends the byte-identity oracle over

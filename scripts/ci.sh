@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# CI gate: vet, build, full test suite, bounded splice-enumerator and
-# PMF-convolution fuzz runs, the race detector over the concurrent
-# packages, the workers-determinism guarantees and the CRC kernel
-# layer, the bench/ harness tests, and a one-iteration smoke of the
-# per-algorithm checksum benchmark.
+# CI gate: vet, build, full test suite, bounded splice-enumerator,
+# PMF-convolution, composed-scoring and -dir tree fuzz runs, the race
+# detector over the concurrent packages, the workers-determinism
+# guarantees, the CRC kernel layer and composed netsim scoring, the
+# bench/ harness tests, and a one-iteration smoke of the per-algorithm
+# checksum benchmark.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,6 +35,20 @@ echo "== PMF convolution fuzz (10 s of new inputs) =="
 # The blocked convolution kernel against the textbook loop over q's
 # support, bit for bit, on mutated moduli (up to 5000) and masses.
 go test -run '^$' -fuzz FuzzConvolveMatchesReference -fuzztime 10s ./internal/dist/
+
+echo "== composed netsim scoring vs full recompute (-race) =="
+# Every candidate netsim judges, scored from per-cell partials, against
+# algo.Sum over its bytes: every registry algorithm × default channel ×
+# placement, open loop and -retrans, raw and lz payloads, TCP and UDP,
+# at workers 1/2/8.  Also the sent-PDU receiver verdicts the intact fast
+# path reuses, the Stride composition law and the CRC shift operator.
+go test -race -count=1 -run 'ComposedScore|SentPDUs|Stride|Shift' ./internal/netsim/ ./internal/algo/ ./internal/crc/
+
+echo "== composed scoring fuzz (10 s of random cell trains and damage) =="
+go test -run '^$' -fuzz FuzzComposedScoreMatchesDirect -fuzztime 10s ./internal/netsim/
+
+echo "== -dir tree fuzz (10 s: symlinks, loops, empty and unreadable files) =="
+go test -run '^$' -fuzz FuzzScanDir -fuzztime 10s ./internal/corpus/
 
 echo "== CRC kernel differential smoke (-race) =="
 # Every kernel against the scalar oracle and hash/crc32, the
