@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -21,13 +22,25 @@ import (
 	"realsum/internal/algo"
 )
 
-func main() {
-	algName := flag.String("a", "all", "algorithm name, \"all\", or \"list\"")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, checksums each named file
+// (or stdin when there are none) and returns the exit status — 0 on
+// success, 1 if any input could not be read, 2 on a usage error.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cksum", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	algName := fs.String("a", "all", "algorithm name, \"all\", or \"list\"")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *algName == "list" {
-		fmt.Println(strings.Join(algo.Names(), "\n"))
-		return
+		fmt.Fprintln(stdout, strings.Join(algo.Names(), "\n"))
+		return 0
 	}
 	var selected []algo.Algorithm
 	if *algName == "all" {
@@ -35,9 +48,9 @@ func main() {
 	} else if a, ok := algo.Lookup(*algName); ok {
 		selected = []algo.Algorithm{a}
 	} else {
-		fmt.Fprintf(os.Stderr, "cksum: unknown algorithm %q (known: %s)\n",
+		fmt.Fprintf(stderr, "cksum: unknown algorithm %q (known: %s)\n",
 			*algName, strings.Join(algo.Names(), ", "))
-		os.Exit(2)
+		return 2
 	}
 
 	emit := func(name string, r io.Reader) error {
@@ -55,32 +68,32 @@ func main() {
 		}
 		for i, a := range selected {
 			width := (a.Width() + 3) / 4
-			fmt.Printf("%-12s %0*x  %8d  %s\n", a.Name(), width, digests[i].Sum64(), n, name)
+			fmt.Fprintf(stdout, "%-12s %0*x  %8d  %s\n", a.Name(), width, digests[i].Sum64(), n, name)
 		}
 		return nil
 	}
 
-	if flag.NArg() == 0 {
-		if err := emit("-", os.Stdin); err != nil {
-			fmt.Fprintf(os.Stderr, "cksum: stdin: %v\n", err)
-			os.Exit(1)
+	if fs.NArg() == 0 {
+		if err := emit("-", stdin); err != nil {
+			fmt.Fprintf(stderr, "cksum: stdin: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
 	exit := 0
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		f, err := os.Open(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cksum: %v\n", err)
+			fmt.Fprintf(stderr, "cksum: %v\n", err)
 			exit = 1
 			continue
 		}
 		err = emit(path, f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cksum: %s: %v\n", path, err)
+			fmt.Fprintf(stderr, "cksum: %s: %v\n", path, err)
 			exit = 1
 		}
 	}
-	os.Exit(exit)
+	return exit
 }

@@ -89,6 +89,7 @@ func (d *Digest) Reset() { d.a, d.b, d.n = 1, 0, 0 }
 
 // Write absorbs data; it never fails.
 func (d *Digest) Write(data []byte) (int, error) {
+	written := len(data)
 	a, b := d.a, d.b
 	for len(data) > 0 {
 		chunk := data
@@ -105,7 +106,7 @@ func (d *Digest) Write(data []byte) (int, error) {
 		d.n += len(chunk)
 	}
 	d.a, d.b = a, b
-	return d.n, nil
+	return written, nil
 }
 
 // Sum32 returns the Adler-32 of everything written.

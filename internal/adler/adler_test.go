@@ -79,7 +79,9 @@ func TestDigestStreaming(t *testing.T) {
 		if i+n > len(data) {
 			n = len(data) - i
 		}
-		d.Write(data[i : i+n])
+		if w, err := d.Write(data[i : i+n]); w != n || err != nil {
+			t.Fatalf("Write of %d bytes after %d returned (%d, %v)", n, i, w, err)
+		}
 		i += n
 	}
 	if d.Len() != len(data) {

@@ -204,8 +204,8 @@ func newCRCAlgo(p crc.Params) crcAlgo {
 // NewCRC wraps arbitrary CRC params as an Algorithm under an explicit
 // registry key, for callers (the polynomial census) that bring their own
 // slate instead of the built-in catalog subset.  The result rides the
-// same kernel verify-then-race table and zero-alloc Sum path as the
-// built-ins; pass it to Register to make it visible to the tools.
+// same slicing-by-8 table and zero-alloc Sum path as the built-ins;
+// pass it to Register to make it visible to the tools.
 func NewCRC(p crc.Params, name string) Algorithm {
 	return crcAlgo{t: crc.New(p), name: name}
 }

@@ -59,8 +59,7 @@ type Digest interface {
 // cell-composed scoring (Stride) is tested against — and carries the
 // performance contract hot loops rely on: one virtual call per buffer,
 // no Digest construction, and zero steady-state allocations for every
-// registry algorithm (pinned by TestSumZeroAlloc).  Bulk CRC input dispatches through the raced
-// kernel layer underneath (see internal/crc).
+// registry algorithm (pinned by TestSumZeroAlloc).
 func Sum(a Algorithm, data []byte) uint64 { return a.Sum(data) }
 
 // Combiner is implemented by algorithms whose checksum over a

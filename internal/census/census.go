@@ -20,8 +20,8 @@
 //     into a corpus-shaped P_ud.
 //
 // Candidates not in the default algo registry are built from generic
-// crc.Params via algo.NewCRC, so they use the same verify-then-race
-// kernel tables and zero-alloc Sum path as the built-ins.  Register
+// crc.Params via algo.NewCRC, so they use the same slicing-by-8
+// tables and zero-alloc Sum path as the built-ins.  Register
 // (gated — never an init side effect, so default-battery reports keep
 // their pinned shape) publishes them to the registry for netsim/cksumd
 // scenarios that name them.

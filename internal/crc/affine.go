@@ -40,10 +40,10 @@ func (t *Table) RawShift(reg uint64, n int) uint64 {
 		return t.shiftReg(reg, uint64(n)*8)
 	}
 	for n > len(zeroBytes) {
-		reg = t.update(reg, zeroBytes[:])
+		reg = t.updateSlicing(reg, zeroBytes[:])
 		n -= len(zeroBytes)
 	}
-	return t.update(reg, zeroBytes[:n])
+	return t.updateSlicing(reg, zeroBytes[:n])
 }
 
 // Shift is RawShift(·, n) for one fixed n, precomputed as byte tables.
@@ -112,7 +112,7 @@ func (s *Shift) Fold(reg, p uint64) uint64 { return s.Apply(reg) ^ p<<s.first }
 // RawPartial is RawUpdate(0, block) shifted down to the register's low w
 // bits, so a stored partial of a w-bit CRC needs only w bits in either
 // register alignment.  Shift.Fold takes it back.
-func (t *Table) RawPartial(block []byte) uint64 { return t.update(0, block) >> t.rawLowBit() }
+func (t *Table) RawPartial(block []byte) uint64 { return t.updateSlicing(0, block) >> t.rawLowBit() }
 
 // rawLowBit is the bit offset of a raw register's lowest bit in its
 // 64-bit word: 0 when reflected, 64 − w when left-aligned.
@@ -149,7 +149,7 @@ func (t *Table) SlotContribs(dst []uint64, data []byte, stride, tail int) {
 	if stride < 0 || tail < 0 {
 		panic("crc: SlotContribs with negative geometry")
 	}
-	c := t.RawShift(t.update(0, data), tail)
+	c := t.RawShift(t.updateSlicing(0, data), tail)
 	dst[len(dst)-1] = c
 	for s := len(dst) - 2; s >= 0; s-- {
 		c = t.RawShift(c, stride)

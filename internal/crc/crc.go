@@ -7,12 +7,10 @@
 // AAL5/IEEE 802.3 polynomial), CRC-10 (the ATM OAM polynomial), the
 // CRC-16 family, and the CRC-8 HEC of the ATM cell header.
 //
-// Bulk input dispatches through an interchangeable kernel layer
-// (kernel.go): byte-at-a-time scalar, slicing-by-8, the table-free
-// chorba fold and the wide-word nguyen recurrence.  New verifies each
-// candidate against the scalar oracle and races the survivors, so
-// callers get the fastest correct engine automatically; SetKernel pins
-// one on a table for reproducible measurement.
+// Every table runs one engine: slicing-by-8 with a byte-at-a-time
+// tail (slicing.go).  The plain byte-at-a-time loop, updateScalar, is
+// the oracle the tests hold it to, for every catalogued
+// parameterization and every width.
 //
 // The CRC-32 path is verified bit-for-bit against the standard library's
 // hash/crc32 and against the published catalog check values.
@@ -119,8 +117,6 @@ type Table struct {
 	tab    [256]uint64
 	shift  uint8 // 64 − Width, for the left-aligned (non-reflected) path
 	slice  *slicing
-	sp     *sparseKernel // fold geometry, nil without a catalogued sparse multiple
-	kern   kernelID      // selected bulk engine (see kernel.go)
 }
 
 // New builds the lookup table for p.  It panics if p.Width is outside
@@ -162,8 +158,6 @@ func New(p Params) *Table {
 		}
 	}
 	t.slice = t.buildSlicing()
-	t.sp = sparseFor(p)
-	t.kern = t.selectKernel()
 	return t
 }
 
@@ -189,14 +183,8 @@ func TryNew(p Params) (t *Table, err error) {
 // Params returns the algorithm description the table was built from.
 func (t *Table) Params() Params { return t.params }
 
-// update advances a raw register (in the table's internal alignment)
-// through the selected bulk kernel; inputs below a kernel's reach fall
-// back to slicing-by-8, and sub-word tails to the scalar loop.
-func (t *Table) update(reg uint64, data []byte) uint64 {
-	return t.kernelUpdate(t.kern, reg, data)
-}
-
-// updateScalar is the one-byte-per-step reference loop.
+// updateScalar is the one-byte-per-step reference loop: slicing-by-8's
+// tail and the oracle the tests hold updateSlicing to.
 func (t *Table) updateScalar(reg uint64, data []byte) uint64 {
 	tab := &t.tab
 	if t.params.RefIn {
@@ -241,13 +229,13 @@ func (t *Table) unfinalizeReg(crc uint64) uint64 {
 
 // Checksum computes the CRC of data.
 func (t *Table) Checksum(data []byte) uint64 {
-	return t.finalizeReg(t.update(t.initReg(), data))
+	return t.finalizeReg(t.updateSlicing(t.initReg(), data))
 }
 
 // Update extends a previously computed CRC with more data, as if the
 // concatenation had been checksummed in one call.
 func (t *Table) Update(crc uint64, data []byte) uint64 {
-	return t.finalizeReg(t.update(t.unfinalizeReg(crc), data))
+	return t.finalizeReg(t.updateSlicing(t.unfinalizeReg(crc), data))
 }
 
 // RawInit returns the initial raw register state, for callers (like the
@@ -256,7 +244,7 @@ func (t *Table) Update(crc uint64, data []byte) uint64 {
 func (t *Table) RawInit() uint64 { return t.initReg() }
 
 // RawUpdate advances a raw register over data.
-func (t *Table) RawUpdate(reg uint64, data []byte) uint64 { return t.update(reg, data) }
+func (t *Table) RawUpdate(reg uint64, data []byte) uint64 { return t.updateSlicing(reg, data) }
 
 // RawCRC converts a raw register into the published CRC value.
 func (t *Table) RawCRC(reg uint64) uint64 { return t.finalizeReg(reg) }
@@ -276,7 +264,7 @@ func (d *Digest) Reset() { d.reg, d.n = d.t.initReg(), 0 }
 
 // Write absorbs data.  It never fails.
 func (d *Digest) Write(data []byte) (int, error) {
-	d.reg = d.t.update(d.reg, data)
+	d.reg = d.t.updateSlicing(d.reg, data)
 	d.n += len(data)
 	return len(data), nil
 }

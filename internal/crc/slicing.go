@@ -2,8 +2,9 @@ package crc
 
 import "encoding/binary"
 
-// Slicing-by-8: the production fast path.  Eight derived tables let the
-// engine consume 8 input bytes per step instead of 1.  slice[j][b] is
+// Slicing-by-8: the one production engine, behind every Table entry
+// point.  Eight derived tables let it consume 8 input bytes per step
+// instead of 1.  slice[j][b] is
 // the raw register (in the table's internal alignment) that results
 // from processing byte b followed by j zero bytes, starting from a zero
 // register; because the register evolution is linear over GF(2), the

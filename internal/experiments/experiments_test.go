@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"realsum/internal/netsim"
 	"realsum/internal/report"
 	"realsum/internal/sim"
 )
@@ -349,6 +350,11 @@ func TestUnknownRatesRenderDash(t *testing.T) {
 	}
 	if f := cells(t6, "2"); f[len(f)-1] != "-" {
 		t.Errorf("Table 6 k=2 row %q, want Actual \"-\"", f)
+	}
+	// Two empty files through the -compress stage: bytes out, no ratio.
+	lz := netsim.Tally{Compressed: true, Comp: netsim.CompStats{Files: 2, CompBytes: 2}}
+	if got, _, _ := strings.Cut(lz.Report(), "\n"); got != "lz payload stage: 2 files, 0 -> 2 bytes, ratio min=- mean=- max=-" {
+		t.Errorf("lz summary %q, want every ratio \"-\"", got)
 	}
 	var trailer sim.Result
 	trailer.Total, trailer.IdenticalFailedChecksum = 4, 1

@@ -81,7 +81,7 @@ func TestNetSimShapeClaims(t *testing.T) {
 	if d.TCPLZ == nil || !d.TCPLZ.Compressed {
 		t.Fatal("NetSim did not run the compressed TCP pass")
 	}
-	if d.TCPLZ.Comp.Files == 0 || d.TCPLZ.Comp.MeanRatio() <= 0 || d.TCPLZ.Comp.MeanRatio() >= 1 {
+	if mean, ok := d.TCPLZ.Comp.MeanRatio(); d.TCPLZ.Comp.Files == 0 || !ok || mean <= 0 || mean >= 1 {
 		t.Errorf("compressed pass ratio stats: %+v", d.TCPLZ.Comp)
 	}
 	// Convergence is asserted on the per-segment span: the e2e span

@@ -80,7 +80,12 @@ func TestNetsimCompressedAccounting(t *testing.T) {
 	if tally.Comp.CompBytes == 0 {
 		t.Error("Comp.CompBytes = 0 after compressing non-empty files")
 	}
-	min, mean, max := tally.Comp.MinRatio(), tally.Comp.MeanRatio(), tally.Comp.MaxRatio()
+	min, minOK := tally.Comp.MinRatio()
+	mean, meanOK := tally.Comp.MeanRatio()
+	max, maxOK := tally.Comp.MaxRatio()
+	if !minOK || !meanOK || !maxOK {
+		t.Errorf("ratios unknown after compressing non-empty files: %+v", tally.Comp)
+	}
 	if !(min > 0 && min <= max) {
 		t.Errorf("ratio extremes out of order: min=%v max=%v", min, max)
 	}
@@ -297,7 +302,7 @@ func TestCompStatsMergeCommutative(t *testing.T) {
 
 	var empty CompStats
 	empty.add(0, 0)
-	if empty.MinRaw != 0 || empty.MinRatio() != 0 {
+	if _, ok := empty.MinRatio(); empty.MinRaw != 0 || ok {
 		t.Errorf("empty file contributed a ratio: %+v", empty)
 	}
 	withEmpty := a

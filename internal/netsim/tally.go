@@ -376,21 +376,22 @@ func (s *CompStats) merge(o *CompStats) {
 }
 
 // MinRatio, MeanRatio and MaxRatio report compressed/raw byte ratios;
-// the mean is byte-weighted (total compressed over total raw).  All
-// return 0 when nothing with bytes has been recorded.
-func (s *CompStats) MinRatio() float64 { return ratio(s.MinComp, s.MinRaw) }
+// the mean is byte-weighted (total compressed over total raw).  Each
+// reports false when no file with bytes has been recorded, so there is
+// no ratio to report.
+func (s *CompStats) MinRatio() (float64, bool) { return ratio(s.MinComp, s.MinRaw) }
 
 // MeanRatio is CompBytes/RawBytes — the corpus-weighted ratio.
-func (s *CompStats) MeanRatio() float64 { return ratio(s.CompBytes, s.RawBytes) }
+func (s *CompStats) MeanRatio() (float64, bool) { return ratio(s.CompBytes, s.RawBytes) }
 
 // MaxRatio is the largest per-file ratio recorded.
-func (s *CompStats) MaxRatio() float64 { return ratio(s.MaxComp, s.MaxRaw) }
+func (s *CompStats) MaxRatio() (float64, bool) { return ratio(s.MaxComp, s.MaxRaw) }
 
-func ratio(num, den uint64) float64 {
+func ratio(num, den uint64) (float64, bool) {
 	if den == 0 {
-		return 0
+		return 0, false
 	}
-	return float64(num) / float64(den)
+	return float64(num) / float64(den), true
 }
 
 // Tally is the merged result of a netsim run: per (channel × placement
@@ -642,8 +643,8 @@ func (t *Tally) Report() string {
 		b.WriteString(fmt.Sprintf(
 			"lz payload stage: %d files, %s -> %s bytes, ratio min=%s mean=%s max=%s\n\n",
 			t.Comp.Files, report.Count(t.Comp.RawBytes), report.Count(t.Comp.CompBytes),
-			report.Percent(t.Comp.MinRatio()), report.Percent(t.Comp.MeanRatio()),
-			report.Percent(t.Comp.MaxRatio())))
+			report.RatePercent(t.Comp.MinRatio()), report.RatePercent(t.Comp.MeanRatio()),
+			report.RatePercent(t.Comp.MaxRatio())))
 	}
 
 	sum := report.Table{

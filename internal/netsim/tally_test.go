@@ -63,19 +63,20 @@ func TestTallyMergeShapeMismatch(t *testing.T) {
 // the 128-bit ratioLess.
 func TestCompStatsOverflowBoundary(t *testing.T) {
 	const gib = uint64(1) << 30
+	wantMax := float64(5*gib) / float64(6*gib)
 
 	var s CompStats
 	s.add(6*gib, 3*gib) // ratio 0.5 — the true minimum
 	s.add(4*gib, 3*gib) // ratio 0.75; old math wraps 3G·6G and replaces the min
-	if got := s.MinRatio(); got != 0.5 {
+	if got, _ := s.MinRatio(); got != 0.5 {
 		t.Errorf("MinRatio after ≥4GiB adds = %v, want 0.5", got)
 	}
 
 	var m CompStats
 	m.add(6*gib, 5*gib) // ratio ≈0.833 — the true maximum
 	m.add(4*gib, 3*gib) // ratio 0.75; old math wraps 5G·4G and replaces the max
-	if got, want := m.MaxRatio(), float64(5*gib)/float64(6*gib); got != want {
-		t.Errorf("MaxRatio after ≥4GiB adds = %v, want %v", got, want)
+	if got, _ := m.MaxRatio(); got != wantMax {
+		t.Errorf("MaxRatio after ≥4GiB adds = %v, want %v", got, wantMax)
 	}
 
 	// The same boundary holds across merge: shard-local extrema compared
@@ -83,19 +84,21 @@ func TestCompStatsOverflowBoundary(t *testing.T) {
 	var agg CompStats
 	agg.merge(&s)
 	agg.merge(&m)
-	if got := agg.MinRatio(); got != 0.5 {
+	if got, _ := agg.MinRatio(); got != 0.5 {
 		t.Errorf("merged MinRatio = %v, want 0.5", got)
 	}
-	if got, want := agg.MaxRatio(), float64(5*gib)/float64(6*gib); got != want {
-		t.Errorf("merged MaxRatio = %v, want %v", got, want)
+	if got, _ := agg.MaxRatio(); got != wantMax {
+		t.Errorf("merged MaxRatio = %v, want %v", got, wantMax)
 	}
 
 	// Sub-boundary sanity: small files must behave identically.
 	var sm CompStats
 	sm.add(100, 80)
 	sm.add(100, 20)
-	if sm.MinRatio() != 0.2 || sm.MaxRatio() != 0.8 {
-		t.Errorf("small-file extrema = %v/%v, want 0.2/0.8", sm.MinRatio(), sm.MaxRatio())
+	smMin, _ := sm.MinRatio()
+	smMax, _ := sm.MaxRatio()
+	if smMin != 0.2 || smMax != 0.8 {
+		t.Errorf("small-file extrema = %v/%v, want 0.2/0.8", smMin, smMax)
 	}
 }
 

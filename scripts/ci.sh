@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # CI gate: vet, build, full test suite, bounded splice-enumerator,
-# PMF-convolution, composed-scoring and -dir tree fuzz runs, the race
-# detector over the concurrent packages, the workers-determinism
-# guarantees, the CRC kernel layer and composed netsim scoring, the
-# bench/ harness tests, and a one-iteration smoke of the per-algorithm
-# checksum benchmark.
+# PMF-convolution, composed-scoring, -dir tree and CRC slicing-vs-scalar
+# fuzz runs, the race detector over the concurrent packages, the
+# workers-determinism guarantees, the CRC engine against its scalar
+# oracle and composed netsim scoring, the bench/ harness tests, and a
+# one-iteration smoke of the per-algorithm checksum benchmark.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,12 +50,16 @@ go test -run '^$' -fuzz FuzzComposedScoreMatchesDirect -fuzztime 10s ./internal/
 echo "== -dir tree fuzz (10 s: symlinks, loops, empty and unreadable files) =="
 go test -run '^$' -fuzz FuzzScanDir -fuzztime 10s ./internal/corpus/
 
-echo "== CRC kernel differential smoke (-race) =="
-# Every kernel against the scalar oracle and hash/crc32, the
-# auto-selection contract (whatever New raced to must verify against
-# the oracle), and the registry's zero-alloc Sum surface, all under
-# the race detector — tables are shared across netsim workers.
-go test -race -count=1 -run 'Sparse|Kernel|SumZeroAlloc|SumHelper' ./internal/crc/ ./internal/algo/
+echo "== CRC slicing-by-8 vs scalar oracle (-race) =="
+# The one CRC engine against the scalar oracle for every catalogued
+# parameterization and every width 1-64, both against hash/crc32 and
+# the bitwise reference, a table shared by concurrent goroutines, and
+# the registry's zero-alloc Sum surface, all under the race detector —
+# tables are shared across netsim workers.
+go test -race -count=1 -run 'Slicing|Kernel|TableMatchesBitwise|SumZeroAlloc|SumHelper' ./internal/crc/ ./internal/algo/
+
+echo "== CRC slicing-vs-scalar fuzz (10 s of new inputs) =="
+go test -run '^$' -fuzz FuzzSlicingEquivalence -fuzztime 10s ./internal/crc/
 
 echo "== go test -race (sim, splice, netsim, dist) =="
 go test -race ./internal/sim/... ./internal/splice/... ./internal/netsim/... ./internal/dist/...
