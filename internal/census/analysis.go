@@ -14,11 +14,13 @@ const (
 	// candidates at, and the order of the paper's 256-byte TCP segments.
 	BlockBits = 2048
 
-	// OrdHorizon bounds the order-of-x search.  2^24 covers the full
-	// period of every generator up to width 24, so the NR CRC24 family
-	// reports exact orders; the 32-bit generators' orders exceed it and
-	// report 0 ("beyond horizon"), which at BlockBits is all the census
-	// needs to know.
+	// OrdHorizon bounds the order of x the report prints.  2^24 covers
+	// the full period of every generator up to width 24, so the NR CRC24
+	// family reports exact orders; the 32-bit generators' orders exceed
+	// it and report 0 ("beyond horizon"), which at BlockBits is all the
+	// census needs to know.  It no longer bounds the cost: XOrder takes
+	// about √OrdHorizon = 4096 steps, so a wider horizon would be cheap
+	// but would change the printed orders.
 	OrdHorizon = 1 << 24
 
 	// BSCFlipP is the bit-flip probability of the binary symmetric

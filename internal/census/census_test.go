@@ -321,3 +321,20 @@ func TestAnalyzeKnownAlgebra(t *testing.T) {
 		t.Error("crc32: IEEE generator is not (x+1)-divisible")
 	}
 }
+
+// BenchmarkAnalyze times the analytic lane, reported per slate
+// candidate: the order of x up to OrdHorizon, irreducibility and the
+// A2/A3 spectra at BlockBits.
+func BenchmarkAnalyze(b *testing.B) {
+	slate := Slate()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		for _, c := range slate {
+			sink += Analyze(c.Params).Ord
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(slate)), "ns/candidate")
+	if sink == 0 {
+		b.Fatal("no order found for any candidate")
+	}
+}

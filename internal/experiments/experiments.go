@@ -257,18 +257,22 @@ func Table4(cfg Config) []Table4Row {
 		panic(err)
 	}
 	p1 := dist.FromHistogram(single.Histogram())
+	measured := single.CongruentProbability() // the k = 1 row
 	var rows []Table4Row
 	pk := p1
 	for k := 1; k <= 5; k++ {
-		g, err := sim.CollectGlobal(cfg.ctx(), fs, k, cfg.collectOptions())
-		if err != nil {
-			panic(err)
+		if k > 1 {
+			g, err := sim.CollectGlobal(cfg.ctx(), fs, k, cfg.collectOptions())
+			if err != nil {
+				panic(err)
+			}
+			measured = g.CongruentProbability()
 		}
 		rows = append(rows, Table4Row{
 			K:         k,
 			Uniform:   1.0 / 65535,
 			Predicted: pk.SelfMatch(),
-			Measured:  g.CongruentProbability(),
+			Measured:  measured,
 		})
 		if k < 5 {
 			pk = cfg.convolve(pk, p1)

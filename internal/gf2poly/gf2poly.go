@@ -295,20 +295,17 @@ func primeFactors(n int) []int {
 // (p divisible by x) or the order exceeds limit.  A CRC whose
 // generator has x-order e detects all 2-bit errors fewer than e bit
 // positions apart; §2's "all 2-bit errors less than 2048 bits apart"
-// for CRC-32 is a (conservative) statement about this order.
+// for CRC-32 is a (conservative) statement about this order.  It is
+// XOrder for p of degree 1..64 and panics above that; modulo the
+// constant 1 every residue is 1, so the order is 1.
 func OrderOfX(p Poly, limit uint64) uint64 {
-	if !p.Bit(0) {
+	if p.Degree() < 1 {
+		if p.Bit(0) && limit >= 1 {
+			return 1
+		}
 		return 0
 	}
-	one := New(1).Mod(p)
-	r := Monomial(1).Mod(p)
-	for e := uint64(1); e <= limit; e++ {
-		if r.Equal(one) {
-			return e
-		}
-		r = MulMod(r, Monomial(1), p)
-	}
-	return 0
+	return XOrder(p, limit)
 }
 
 // Detects2BitErrors reports whether a CRC with this generator detects

@@ -2,6 +2,7 @@ package gf2poly
 
 import (
 	"math/bits"
+	"sort"
 	"testing"
 )
 
@@ -85,13 +86,16 @@ func TestSpectrumMatchesExhaustiveEnumeration(t *testing.T) {
 }
 
 // TestSpectrumRandomGenerators fuzzes the A2/A3 counters against the
-// enumeration oracle over random odd generators, where residue
-// collisions are plentiful.
+// enumeration oracle over random generators, where residue collisions
+// are plentiful: odd ones, then x^s·h ones (s = width gives x^width).
 func TestSpectrumRandomGenerators(t *testing.T) {
 	rng := splitmix(0x5eed)
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 100; trial++ {
 		width := 2 + int(rng()%9) // degree 2..10: dense collision regime
 		poly := (rng() | 1) & (1<<uint(width) - 1)
+		if trial >= 40 {
+			poly = poly << (rng() % uint64(width+1)) & (1<<uint(width) - 1)
+		}
 		gen := FromCRC(poly, uint8(width))
 		nBits := 4 + int(rng()%45)
 		wantA2, wantA3 := enumerated(gen, nBits)
@@ -114,36 +118,140 @@ func splitmix(seed uint64) func() uint64 {
 	}
 }
 
-// TestXOrderMatchesOrderOfX pins the packed-word order loop against the
-// generic MulMod-based OrderOfX, over random generators (dense collision
-// regime, including degree 1) and the census slate.
+// xOrderScan is the test oracle for XOrder: the packed-word residue
+// recurrence stepped one power of x at a time up to limit.
+func xOrderScan(g Poly, limit uint64) uint64 {
+	if !g.Bit(0) {
+		return 0
+	}
+	m := newModulus(g, "xOrderScan")
+	r := uint64(1)
+	for e := uint64(1); e <= limit; e++ {
+		if r = m.mulX(r); r == 1 {
+			return e
+		}
+	}
+	return 0
+}
+
+// polyOrderScan is the same scan on the generic Poly arithmetic, an
+// oracle independent of the packed-word modulus.
+func polyOrderScan(p Poly, limit uint64) uint64 {
+	if !p.Bit(0) {
+		return 0
+	}
+	one := New(1).Mod(p)
+	r := Monomial(1).Mod(p)
+	for e := uint64(1); e <= limit; e++ {
+		if r.Equal(one) {
+			return e
+		}
+		r = MulMod(r, Monomial(1), p)
+	}
+	return 0
+}
+
+// weight3PairWalk is the test oracle for UndetectedWeight3: an
+// O(n² log n) walk that, for each pair j < k, counts the earlier
+// positions whose residue equals r_j ⊕ r_k.
+func weight3PairWalk(g Poly, nBits int) uint64 {
+	res := XPowerResidues(g, nBits)
+	idx := make(map[uint64][]int, nBits)
+	for i, r := range res {
+		idx[r] = append(idx[r], i)
+	}
+	var a3 uint64
+	for j := 1; j < nBits; j++ {
+		rj := res[j]
+		for k := j + 1; k < nBits; k++ {
+			positions := idx[rj^res[k]]
+			if len(positions) == 0 {
+				continue
+			}
+			a3 += uint64(sort.SearchInts(positions, j))
+		}
+	}
+	return a3
+}
+
+// TestXOrderMatchesOrderOfX pins the baby-step giant-step XOrder, and
+// OrderOfX which delegates to it, against both scan oracles over random
+// generators (dense collision regime, including degree 1 and
+// x-divisible ones) at several limits, and over the census slate.
 func TestXOrderMatchesOrderOfX(t *testing.T) {
 	rng := splitmix(0xabc)
-	for trial := 0; trial < 50; trial++ {
-		width := 1 + int(rng()%10)
-		poly := (rng() | 1) & (1<<uint(width) - 1)
+	for trial := 0; trial < 300; trial++ {
+		width := 1 + int(rng()%12)
+		poly := rng() & (1<<uint(width) - 1)
+		if trial%4 != 0 {
+			poly |= 1
+		}
 		gen := FromCRC(poly, uint8(width))
-		if got, want := XOrder(gen, 5000), OrderOfX(gen, 5000); got != want {
-			t.Fatalf("w=%d poly=%#x: XOrder=%d, OrderOfX=%d", width, poly, got, want)
+		for _, limit := range []uint64{0, 1, 2, 3, 9, 100, 1000, 5000} {
+			want := polyOrderScan(gen, limit)
+			if got := xOrderScan(gen, limit); got != want {
+				t.Fatalf("w=%d poly=%#x limit=%d: xOrderScan=%d, polyOrderScan=%d", width, poly, limit, got, want)
+			}
+			if got := XOrder(gen, limit); got != want {
+				t.Fatalf("w=%d poly=%#x limit=%d: XOrder=%d, scan=%d", width, poly, limit, got, want)
+			}
+			if got := OrderOfX(gen, limit); got != want {
+				t.Fatalf("w=%d poly=%#x limit=%d: OrderOfX=%d, scan=%d", width, poly, limit, got, want)
+			}
 		}
 	}
 	for _, g := range censusGenerators {
 		gen := FromCRC(g.poly, g.width)
-		if got, want := XOrder(gen, 4096), OrderOfX(gen, 4096); got != want {
-			t.Errorf("%s: XOrder=%d, OrderOfX=%d", g.name, got, want)
+		for _, limit := range []uint64{4096, 1 << 16} {
+			if got, want := XOrder(gen, limit), xOrderScan(gen, limit); got != want {
+				t.Errorf("%s limit=%d: XOrder=%d, scan=%d", g.name, limit, got, want)
+			}
 		}
 	}
 }
 
+// TestXOrderCensusHorizon pins XOrder against the scan oracle at the
+// census's 2^24 horizon for every slate generator: the 24-bit family's
+// full periods, and the 32-bit orders that lie beyond it.
+func TestXOrderCensusHorizon(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the scan walks up to 2^24 residues per generator")
+	}
+	const horizon = 1 << 24
+	for _, g := range censusGenerators {
+		gen := FromCRC(g.poly, g.width)
+		if got, want := XOrder(gen, horizon), xOrderScan(gen, horizon); got != want {
+			t.Errorf("%s: XOrder=%d, scan=%d", g.name, got, want)
+		}
+	}
+}
+
+// TestOrderOfXDegenerate pins the cases below XOrder's degree range:
+// nothing is invertible modulo 0, and modulo 1 every residue is 1.
+func TestOrderOfXDegenerate(t *testing.T) {
+	if got := OrderOfX(Poly{}, 10); got != 0 {
+		t.Errorf("order mod 0 = %d", got)
+	}
+	if got := OrderOfX(New(1), 10); got != 1 {
+		t.Errorf("order mod 1 = %d", got)
+	}
+	if got := OrderOfX(New(1), 0); got != 0 {
+		t.Errorf("order mod 1 at limit 0 = %d", got)
+	}
+}
+
 // TestOrderConsistency pins, for every census generator, the three
-// statements of the same fact against each other: OrderOfX,
-// Detects2BitErrors, and A2 (a 2-bit error at spacing d is undetected
-// iff ord(x) divides d).
+// statements of the same fact against each other: the order of x (the
+// scan oracle, and OrderOfX), Detects2BitErrors, and A2 (a 2-bit error
+// at spacing d is undetected iff ord(x) divides d).
 func TestOrderConsistency(t *testing.T) {
 	const horizon = 1 << 16
 	for _, g := range censusGenerators {
 		gen := FromCRC(g.poly, g.width)
-		ord := OrderOfX(gen, horizon)
+		ord := xOrderScan(gen, horizon)
+		if got := OrderOfX(gen, horizon); got != ord {
+			t.Errorf("%s: OrderOfX=%d, scan=%d", g.name, got, ord)
+		}
 		for _, nBits := range []int{64, 1024, 2048} {
 			a2 := UndetectedWeight2(gen, nBits)
 			maxSpacing := uint64(nBits - 1)
@@ -164,6 +272,17 @@ func TestOrderConsistency(t *testing.T) {
 			} else if a2 != 0 {
 				t.Errorf("%s nBits=%d: ord(x) > %d yet A2=%d", g.name, nBits, horizon, a2)
 			}
+		}
+	}
+}
+
+// TestWeight3MatchesPairWalk pins the linear A3 against the pair-walk
+// oracle at the census length for every slate generator.
+func TestWeight3MatchesPairWalk(t *testing.T) {
+	for _, g := range censusGenerators {
+		gen := FromCRC(g.poly, g.width)
+		if got, want := UndetectedWeight3(gen, 2048), weight3PairWalk(gen, 2048); got != want {
+			t.Errorf("%s: UndetectedWeight3=%d, pair walk=%d", g.name, got, want)
 		}
 	}
 }

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # CI gate: vet, build, full test suite, bounded splice-enumerator,
-# PMF-convolution, composed-scoring, -dir tree and CRC slicing-vs-scalar
-# fuzz runs, the race detector over the concurrent packages, the
-# workers-determinism guarantees, the CRC engine against its scalar
-# oracle and composed netsim scoring, the bench/ harness tests, and a
-# one-iteration smoke of the per-algorithm checksum benchmark.
+# PMF-convolution, composed-scoring, -dir tree, CRC slicing-vs-scalar
+# and census order/A3 fuzz runs, the race detector over the concurrent
+# packages, the workers-determinism guarantees, the CRC engine against
+# its scalar oracle and composed netsim scoring, the census pins, the
+# bench/ harness tests, and a one-iteration smoke of the per-algorithm
+# checksum benchmark.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -225,27 +226,24 @@ done
 
 echo "== census smoke (polynomial-selection census, workers 1 vs 4 determinism, -race) =="
 # The census report — both lanes, ranks and the inversion verdict — must
-# be byte-identical at any worker count, and its greppable census[...]
-# lines are pinned: any drift in the gf2poly spectrum math, the
+# be byte-identical at any worker count.  Its greppable census[...]
+# lines are pinned in internal/census/testdata/pins.golden, which
+# TestCensusPinsGolden checks in go test; the CLI's lines must match
+# the same file.  Any drift in the gf2poly order and spectrum math, the
 # generic-width CRC tables, the error-class mix or the injection seed
 # chain shows up as a diff here.
 go run -race ./cmd/paper -census -scale 0.02 -workers 1 > "$tmp/census.w1"
 go run -race ./cmd/paper -census -scale 0.02 -workers 4 > "$tmp/census.w4"
 diff "$tmp/census.w1" "$tmp/census.w4" || { echo "census output differs across worker counts"; exit 1; }
 grep "^census\[" "$tmp/census.w1" > "$tmp/census.pins"
-diff - "$tmp/census.pins" <<'CENSUS' || { echo "census pin lines changed"; exit 1; }
-census[mix]: total=1760 len=295 w1=0 w2=639 w3=0 burst=631 multi=195
-census[crc32]: w=32 a2=0 a3=0 ord=0 uniform=2.33e-10 bsc=0 measured=1.48e-10 miss=0/1760 ranks=1/1/1
-census[crc32c]: w=32 a2=0 a3=0 ord=0 uniform=2.33e-10 bsc=0 measured=1.48e-10 miss=0/1760 ranks=1/1/1
-census[crc32k]: w=32 a2=0 a3=0 ord=114695 uniform=2.33e-10 bsc=0 measured=1.48e-10 miss=0/1760 ranks=1/1/1
-census[crc32k2]: w=32 a2=0 a3=0 ord=65538 uniform=2.33e-10 bsc=0 measured=1.48e-10 miss=0/1760 ranks=1/1/1
-census[crc24a]: w=24 a2=0 a3=0 ord=8388607 uniform=5.96e-08 bsc=0 measured=3.8e-08 miss=0/1760 ranks=5/5/1
-census[crc24b]: w=24 a2=0 a3=0 ord=8388607 uniform=5.96e-08 bsc=0 measured=3.8e-08 miss=0/1760 ranks=5/5/1
-census[crc24c]: w=24 a2=0 a3=0 ord=28086 uniform=5.96e-08 bsc=0 measured=3.8e-08 miss=0/1760 ranks=5/5/1
-census[crc16-xmodem]: w=16 a2=0 a3=0 ord=32767 uniform=1.53e-05 bsc=0 measured=9.72e-06 miss=0/1760 ranks=8/8/1
-census[crc11]: w=11 a2=1 a3=699050 ord=2047 uniform=0.000488 bsc=5.78e-07 measured=0.000311 miss=0/1760 ranks=9/9/1
-census[crc6]: w=6 a2=32272 a3=22363729 ord=63 uniform=0.0156 bsc=0.000281 measured=0.0155 miss=9/1760 ranks=10/10/10
-census[inversion]: none - the uniform-assumption ranking survived the measured corpus distributions
-CENSUS
+diff internal/census/testdata/pins.golden "$tmp/census.pins" || { echo "census pin lines changed"; exit 1; }
+go test -race -count=1 -run 'TestCensusPinsGolden' ./internal/census/
+
+echo "== census analytic lane fuzz (10 s each: order of x, A3 vs their scans) =="
+# Baby-step giant-step XOrder against the one-step scan at widths 1-64
+# (limits at and around the order, g(0) = 0), and the linear-time A3
+# against the O(n^2) pair walk up to 512 bits, x^s*h generators included.
+go test -run '^$' -fuzz FuzzXOrderMatchesScan -fuzztime 10s ./internal/gf2poly/
+go test -run '^$' -fuzz FuzzWeight3MatchesPairWalk -fuzztime 10s ./internal/gf2poly/
 
 echo "CI OK"
