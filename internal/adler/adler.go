@@ -54,27 +54,6 @@ func Sum(data []byte) Pair {
 	return Pair{A: ck & 0xFFFF, B: ck >> 16}
 }
 
-// Combine returns the Adler-32 of the concatenation of two buffers
-// given their checksums and the length of the second — the same
-// positional algebra as fletcher.Mod.Append.  Extending the first
-// buffer by len2 bytes advances its B by len2·A; the second buffer's
-// own seed (the +1 in A and its positional images in B) is then
-// subtracted out once:
-//
-//	A = a1 + a2 − 1
-//	B = b1 + rem·a1 + b2 − rem            (rem = len2 mod 65521)
-func Combine(ck1, ck2 uint32, len2 int) uint32 {
-	const mod = uint64(Mod)
-	rem := uint64(len2) % mod
-	a1 := uint64(ck1 & 0xFFFF)
-	b1 := uint64(ck1 >> 16)
-	a2 := uint64(ck2 & 0xFFFF)
-	b2 := uint64(ck2 >> 16)
-	a := (a1 + a2 + mod - 1) % mod
-	b := (b1 + rem*a1%mod + b2 + mod - rem) % mod
-	return uint32(b)<<16 | uint32(a)
-}
-
 // Digest is a streaming Adler-32 accumulator.
 type Digest struct {
 	a, b uint32

@@ -45,30 +45,6 @@ func TestLongBufferReduction(t *testing.T) {
 	}
 }
 
-func TestCombineMatchesConcatenation(t *testing.T) {
-	rng := rand.New(rand.NewPCG(2, 2))
-	for trial := 0; trial < 300; trial++ {
-		a := randBytes(rng, rng.IntN(2000))
-		b := randBytes(rng, rng.IntN(2000))
-		whole := Checksum(append(append([]byte{}, a...), b...))
-		if got := Combine(Checksum(a), Checksum(b), len(b)); got != whole {
-			t.Fatalf("lenA=%d lenB=%d: Combine %#08x, want %#08x", len(a), len(b), got, whole)
-		}
-	}
-}
-
-func TestCombineEmptyEdges(t *testing.T) {
-	data := []byte("hello world")
-	ck := Checksum(data)
-	empty := Checksum(nil)
-	if got := Combine(ck, empty, 0); got != ck {
-		t.Errorf("combine with empty tail: %#08x", got)
-	}
-	if got := Combine(empty, ck, len(data)); got != ck {
-		t.Errorf("combine with empty head: %#08x", got)
-	}
-}
-
 func TestDigestStreaming(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	data := randBytes(rng, 10000)

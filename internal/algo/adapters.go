@@ -7,7 +7,6 @@ import (
 	"realsum/internal/crc"
 	"realsum/internal/fletcher"
 	"realsum/internal/inet"
-	"realsum/internal/onescomp"
 )
 
 // The built-in registrations, in the display order the tools inherit.
@@ -39,15 +38,6 @@ func (tcpAlgo) Sum(data []byte) uint64 {
 // UniformP reflects the ones-complement double zero: 65535 classes.
 func (tcpAlgo) UniformP() float64 { return 1.0 / 65535 }
 
-// Combine rebuilds the wire checksum of A‖B from the fragments' wire
-// checksums via the §4.1 partial composition, including the byte-swap
-// when A has odd length.
-func (tcpAlgo) Combine(a, b uint64, lenA, lenB int) uint64 {
-	pa := inet.Partial{Sum: onescomp.Neg(uint16(a)), Len: lenA}
-	pb := inet.Partial{Sum: onescomp.Neg(uint16(b)), Len: lenB}
-	return uint64(onescomp.Neg(pa.Append(pb).Sum))
-}
-
 type tcpDigest struct{ d *inet.Digest }
 
 func (t *tcpDigest) Write(p []byte) (int, error) { return t.d.Write(p) }
@@ -70,14 +60,6 @@ func (f fletcherAlgo) Sum(data []byte) uint64 {
 	return uint64(f.m.Sum(data).Checksum16())
 }
 func (f fletcherAlgo) UniformP() float64 { return 1.0 / f.space }
-
-// Combine shifts A's pair past B's lenB positions (B' = B + A·lenB mod
-// M) and adds — the positional recombination of §5.2.
-func (f fletcherAlgo) Combine(a, b uint64, lenA, lenB int) uint64 {
-	pa := fletcher.Pair{A: uint16(a) & 0xFF, B: uint16(a) >> 8}
-	pb := fletcher.Pair{A: uint16(b) & 0xFF, B: uint16(b) >> 8}
-	return uint64(f.m.Append(pa, lenB, pb).Checksum16())
-}
 
 type fletcherDigest struct{ d *fletcher.Digest }
 
@@ -164,9 +146,6 @@ func (adlerAlgo) Width() int             { return 32 }
 func (adlerAlgo) New() Digest            { return &adlerDigest{d: adler.New()} }
 func (adlerAlgo) Sum(data []byte) uint64 { return uint64(adler.Checksum(data)) }
 func (adlerAlgo) UniformP() float64      { return 1.0 / (1 << 32) }
-func (adlerAlgo) Combine(a, b uint64, lenA, lenB int) uint64 {
-	return uint64(adler.Combine(uint32(a), uint32(b), lenB))
-}
 
 type adlerDigest struct{ d *adler.Digest }
 
@@ -217,9 +196,6 @@ func (c crcAlgo) New() Digest            { return &crcDigest{d: c.t.NewDigest()}
 func (c crcAlgo) UniformP() float64 {
 	// Ldexp avoids the 1<<64 overflow for CRC-64.
 	return math.Ldexp(1, -int(c.t.Params().Width))
-}
-func (c crcAlgo) Combine(a, b uint64, lenA, lenB int) uint64 {
-	return c.t.Combine(a, b, lenB)
 }
 
 type crcDigest struct{ d *crc.Digest }

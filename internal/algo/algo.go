@@ -8,10 +8,11 @@
 // call shape (inet.Checksum here, fletcher.Mod255.Sum(...).Checksum16()
 // there, crc.New(params).Checksum elsewhere).  The Algorithm interface
 // normalizes all of them to one shape: a canonical name, a width in
-// bits, a one-shot Sum, and a streaming Digest.  Algorithms whose
-// mathematics admit O(1) recombination of fragment checksums (the §4.1
-// partial-sum machinery the paper's analysis rests on) additionally
-// implement Combiner.
+// bits, a one-shot Sum, a streaming Digest, and a fixed-stride
+// composition (Stride) that folds per-block partials into the sum of a
+// block train — the §4.1 partial-sum machinery for the TCP sum, §5.2's
+// positional shift for the Fletcher family, and GF(2) linearity for a
+// CRC.
 package algo
 
 import (
@@ -62,18 +63,6 @@ type Digest interface {
 // registry algorithm (pinned by TestSumZeroAlloc).
 func Sum(a Algorithm, data []byte) uint64 { return a.Sum(data) }
 
-// Combiner is implemented by algorithms whose checksum over a
-// concatenation A‖B is recoverable from the standalone checksums of A
-// and B and their lengths — the per-cell partial + combine structure
-// the paper's §4.1 composition argument formalizes for the TCP sum and
-// §5.2 for Fletcher's positional colouring.
-type Combiner interface {
-	Algorithm
-	// Combine returns Sum(A‖B) given a = Sum(A), b = Sum(B) and the
-	// fragment lengths in bytes.
-	Combine(a, b uint64, lenA, lenB int) uint64
-}
-
 // Stride composes an algorithm's sum of a message cut into fixed
 // n-byte blocks from per-block partials: a caller that sees the same
 // blocks many times (netsim scores every delivery as a train of 48-byte
@@ -87,8 +76,8 @@ type Combiner interface {
 // The block offsets are multiples of an even n, which is all every
 // registry algorithm needs: the TCP sum never meets the odd-offset byte
 // swap, and Fletcher-32 — whose 16-bit words make an odd split
-// uncomposable, so it has no Combine — composes at even offsets like
-// any Fletcher sum.  States are opaque values of the one Stride.
+// uncomposable — composes at even offsets like any Fletcher sum.
+// States are opaque values of the one Stride.
 type Stride interface {
 	// Partial is the position-free partial of one n-byte block.  It is
 	// below 2^Width(), so a caller storing many can pack them.

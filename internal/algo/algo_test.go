@@ -160,36 +160,6 @@ func BenchmarkSum(b *testing.B) {
 	}
 }
 
-// TestCombinerMatchesDirect checks the O(1) recombination law for every
-// algorithm that claims it: Sum(A‖B) from Sum(A), Sum(B) and lengths,
-// over random data and split points including odd-length A (the TCP
-// byte-swap case).
-func TestCombinerMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 3))
-	var combiners []Combiner
-	for _, a := range All() {
-		if c, ok := a.(Combiner); ok {
-			combiners = append(combiners, c)
-		}
-	}
-	if len(combiners) < 5 {
-		t.Fatalf("only %d combiners registered", len(combiners))
-	}
-	for trial := 0; trial < 50; trial++ {
-		data := randData(rng, 1+rng.IntN(900))
-		cut := rng.IntN(len(data) + 1)
-		a, b := data[:cut], data[cut:]
-		for _, c := range combiners {
-			got := c.Combine(c.Sum(a), c.Sum(b), len(a), len(b))
-			want := c.Sum(data)
-			if got != want {
-				t.Errorf("%s: Combine(|A|=%d, |B|=%d) = %#x, want %#x",
-					c.Name(), len(a), len(b), got, want)
-			}
-		}
-	}
-}
-
 // TestStrideMatchesDirect checks the fixed-stride composition law for
 // every registry algorithm (Fletcher-32 included: its blocks sit at even
 // offsets) and for generic-width CRCs of both register alignments, with

@@ -17,27 +17,18 @@ package crc
 // evaluate the CRC of any slot assignment with one XOR per slot and
 // compare against a target register with one integer comparison.
 
-// zeroBytes feeds the table-driven path of RawShift; the slicing-by-8
-// kernel consumes it 8 bytes per step.
+// zeroBytes feeds RawShift; the slicing-by-8 kernel consumes it 8 bytes
+// per step.
 var zeroBytes [512]byte
-
-// rawShiftCrossover is the zero-byte count above which the O(log n)
-// square-and-multiply operator path beats the O(n) table loop.  The
-// operator path costs ~log2(8n) matrix squarings of 64×64 bits each, a
-// few tens of thousands of word operations, while the table loop costs
-// n/8 slicing steps.
-const rawShiftCrossover = 64 * 1024
 
 // RawShift advances a raw register over n zero input bytes — the
 // multiply-by-x^(8n) primitive of the affine decomposition.  It is
-// equivalent to RawUpdate(reg, make([]byte, n)) without materializing
-// the zeros.
+// RawUpdate(reg, make([]byte, n)) without materializing the zeros, in
+// O(n) table steps; its callers shift by at most a few packets' worth
+// of bytes, or build a Shift once for a fixed n.
 func (t *Table) RawShift(reg uint64, n int) uint64 {
 	if n < 0 {
 		panic("crc: RawShift with negative length")
-	}
-	if n >= rawShiftCrossover {
-		return t.shiftReg(reg, uint64(n)*8)
 	}
 	for n > len(zeroBytes) {
 		reg = t.updateSlicing(reg, zeroBytes[:])

@@ -33,20 +33,6 @@ func TestRawShiftMatchesZeroUpdate(t *testing.T) {
 	}
 }
 
-func TestRawShiftCrossoverAgrees(t *testing.T) {
-	// The table loop below the crossover and the square-and-multiply
-	// operator above it must implement the same map.
-	for _, p := range []Params{CRC32, CRC16XMODEM} {
-		tab := New(p)
-		reg := tab.RawUpdate(tab.RawInit(), []byte("crossover probe"))
-		n := rawShiftCrossover + 13
-		want := tab.RawUpdate(reg, make([]byte, n))
-		if got := tab.RawShift(reg, n); got != want {
-			t.Errorf("%s: RawShift above crossover = %#x, want %#x", p.Name, got, want)
-		}
-	}
-}
-
 func TestRawFromCRCInvertsRawCRC(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	for _, p := range affineParams {
@@ -109,9 +95,10 @@ func TestSlotContribsDecomposition(t *testing.T) {
 	}
 }
 
-// TestSlotContribsAgainstShiftReg pins each contribution to its
-// first-principles definition via the existing combine operator.
-func TestSlotContribsAgainstShiftReg(t *testing.T) {
+// TestSlotContribsAgainstScalar pins each contribution to its
+// first-principles definition: the scalar oracle run over the cell
+// followed by the explicit zero bytes that come after its slot.
+func TestSlotContribsAgainstScalar(t *testing.T) {
 	tab := New(CRC32)
 	cell := []byte("forty-eight bytes of cell payload, more or less!")[:48]
 	const slots, stride, tail = 6, 48, 44
@@ -119,7 +106,7 @@ func TestSlotContribsAgainstShiftReg(t *testing.T) {
 	tab.SlotContribs(got[:], cell, stride, tail)
 	for s := 0; s < slots; s++ {
 		after := (slots-1-s)*stride + tail
-		want := tab.shiftReg(tab.RawUpdate(0, cell), uint64(after)*8)
+		want := tab.updateScalar(tab.updateScalar(0, cell), make([]byte, after))
 		if got[s] != want {
 			t.Errorf("slot %d: contrib %#x, want %#x", s, got[s], want)
 		}

@@ -101,58 +101,6 @@ func TestDigestStreaming(t *testing.T) {
 	}
 }
 
-func TestCombineMatchesConcatenation(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 5))
-	for _, p := range Catalog() {
-		tab := New(p)
-		for trial := 0; trial < 30; trial++ {
-			a := make([]byte, rng.IntN(300))
-			b := make([]byte, rng.IntN(300))
-			for i := range a {
-				a[i] = byte(rng.Uint32())
-			}
-			for i := range b {
-				b[i] = byte(rng.Uint32())
-			}
-			whole := tab.Checksum(append(append([]byte{}, a...), b...))
-			if got := tab.Combine(tab.Checksum(a), tab.Checksum(b), len(b)); got != whole {
-				t.Fatalf("%s: Combine = %#x, want %#x (lenA=%d lenB=%d)",
-					p.Name, got, whole, len(a), len(b))
-			}
-		}
-	}
-}
-
-func TestCombineMatchesStdlibShape(t *testing.T) {
-	// Cross-check our CRC-32 Combine against stdlib by concatenation.
-	tab := New(CRC32)
-	a := []byte("hello, ")
-	b := []byte("world")
-	want := crc32.ChecksumIEEE([]byte("hello, world"))
-	got := tab.Combine(uint64(crc32.ChecksumIEEE(a)), uint64(crc32.ChecksumIEEE(b)), len(b))
-	if uint32(got) != want {
-		t.Errorf("Combine = %#08x, want %#08x", got, want)
-	}
-}
-
-func TestZeroesMatchesUpdate(t *testing.T) {
-	rng := rand.New(rand.NewPCG(6, 6))
-	for _, p := range []Params{CRC32, CRC10, CRC16CCITT, CRC8HEC, CRC64} {
-		tab := New(p)
-		data := make([]byte, 100)
-		for i := range data {
-			data[i] = byte(rng.Uint32())
-		}
-		crc := tab.Checksum(data)
-		for _, n := range []int{0, 1, 13, 48, 1000} {
-			want := tab.Update(crc, make([]byte, n))
-			if got := tab.Zeroes(crc, n); got != want {
-				t.Errorf("%s Zeroes(%d) = %#x, want %#x", p.Name, n, got, want)
-			}
-		}
-	}
-}
-
 func TestMakeParamsArbitraryWidths(t *testing.T) {
 	// Exercise odd widths end-to-end: table must agree with bitwise for
 	// widths that are not byte multiples.

@@ -18,16 +18,6 @@ func ExampleTable_Checksum() {
 	// CRC-8/HEC 0xa1
 }
 
-// Combining CRCs of two buffers without touching the bytes again.
-func ExampleTable_Combine() {
-	t := crc.New(crc.CRC32)
-	a, b := []byte("hello, "), []byte("world")
-	combined := t.Combine(t.Checksum(a), t.Checksum(b), len(b))
-	fmt.Printf("%#08x == %#08x\n", combined, t.Checksum([]byte("hello, world")))
-	// Output:
-	// 0xffab723a == 0xffab723a
-}
-
 // Computing, rather than quoting, an algorithm's error-detection
 // guarantees.
 func ExampleParams_DetectsOddErrors() {

@@ -20,26 +20,15 @@ import (
 	"realsum/internal/onescomp"
 )
 
-// Model mutates a copy of data and reports what it did.  Implementations
-// must leave the original untouched.
+// Model damages a buffer in place and reports what it did.
 type Model interface {
-	// Corrupt returns a damaged copy of data.  It must change at least
-	// one byte, except for the record-level models (Reorder, Misinsert),
-	// which can only guarantee a change when the stream holds two
-	// differing records.
-	Corrupt(rng *rand.Rand, data []byte) []byte
+	// CorruptInPlace damages data.  It must change at least one byte,
+	// except for the record-level models (Reorder, Misinsert), which can
+	// only guarantee a change when the stream holds two differing
+	// records.  The damage is a function of data and rng's state alone.
+	CorruptInPlace(rng *rand.Rand, data []byte)
 	// Name identifies the model in reports.
 	Name() string
-}
-
-// InPlacer is a Model that can also damage a buffer directly, without
-// the copy Corrupt makes — the form zero-allocation pipelines (the
-// netsim per-trial hot path) consume.  CorruptInPlace must consume rng
-// exactly as Corrupt does, so both forms produce identical damage from
-// identical rng state.
-type InPlacer interface {
-	Model
-	CorruptInPlace(rng *rand.Rand, data []byte)
 }
 
 // Burst flips a contiguous run of bits: the first and last bit of the
@@ -53,14 +42,7 @@ type Burst struct {
 // Name implements Model.
 func (b Burst) Name() string { return "burst" }
 
-// Corrupt implements Model.
-func (b Burst) Corrupt(rng *rand.Rand, data []byte) []byte {
-	out := append([]byte(nil), data...)
-	b.CorruptInPlace(rng, out)
-	return out
-}
-
-// CorruptInPlace implements InPlacer.
+// CorruptInPlace implements Model.
 func (b Burst) CorruptInPlace(rng *rand.Rand, out []byte) {
 	n := len(out) * 8
 	if b.Bits < 1 || b.Bits > n {
@@ -95,14 +77,7 @@ type SolidBurst struct {
 // Name implements Model.
 func (s SolidBurst) Name() string { return "solidburst" }
 
-// Corrupt implements Model.
-func (s SolidBurst) Corrupt(rng *rand.Rand, data []byte) []byte {
-	out := append([]byte(nil), data...)
-	s.CorruptInPlace(rng, out)
-	return out
-}
-
-// CorruptInPlace implements InPlacer.
+// CorruptInPlace implements Model.
 func (s SolidBurst) CorruptInPlace(rng *rand.Rand, out []byte) {
 	n := len(out) * 8
 	if s.Bits < 1 || s.Bits > n {
@@ -122,21 +97,13 @@ type BitFlips struct {
 // Name implements Model.
 func (f BitFlips) Name() string { return "bitflips" }
 
-// Corrupt implements Model.
-func (f BitFlips) Corrupt(rng *rand.Rand, data []byte) []byte {
-	out := append([]byte(nil), data...)
-	f.CorruptInPlace(rng, out)
-	return out
-}
-
 // inPlaceFlipMax bounds the stack-resident duplicate-tracking array of
 // CorruptInPlace; larger K falls back to a map.
 const inPlaceFlipMax = 64
 
-// CorruptInPlace implements InPlacer.  It draws candidate bits exactly
-// as Corrupt always has (retry on duplicates), tracking the chosen bits
-// in a stack array for K ≤ 64 so the common small-K case allocates
-// nothing.
+// CorruptInPlace implements Model.  It draws candidate bits until K
+// distinct ones are flipped, tracking the chosen bits in a stack array
+// for K ≤ 64 so the common small-K case allocates nothing.
 func (f BitFlips) CorruptInPlace(rng *rand.Rand, out []byte) {
 	n := len(out) * 8
 	if f.K < 1 || f.K > n {
@@ -184,14 +151,7 @@ type Garbage struct {
 // Name implements Model.
 func (g Garbage) Name() string { return "garbage" }
 
-// Corrupt implements Model.
-func (g Garbage) Corrupt(rng *rand.Rand, data []byte) []byte {
-	out := append([]byte(nil), data...)
-	g.CorruptInPlace(rng, out)
-	return out
-}
-
-// CorruptInPlace implements InPlacer.  The change guarantee survives
+// CorruptInPlace implements Model.  The change guarantee survives
 // in-place operation: a retry only happens when the regenerated span
 // equalled the previous one byte-for-byte, in which case the buffer
 // still holds the original span.
@@ -230,14 +190,7 @@ type Reorder struct {
 // Name implements Model.
 func (r Reorder) Name() string { return "reorder" }
 
-// Corrupt implements Model.
-func (r Reorder) Corrupt(rng *rand.Rand, data []byte) []byte {
-	out := append([]byte(nil), data...)
-	r.CorruptInPlace(rng, out)
-	return out
-}
-
-// CorruptInPlace implements InPlacer.
+// CorruptInPlace implements Model.
 func (r Reorder) CorruptInPlace(rng *rand.Rand, out []byte) {
 	if r.Unit < 1 {
 		panic("errmodel: reorder unit out of range")
@@ -277,14 +230,7 @@ type Misinsert struct {
 // Name implements Model.
 func (m Misinsert) Name() string { return "misinsert" }
 
-// Corrupt implements Model.
-func (m Misinsert) Corrupt(rng *rand.Rand, data []byte) []byte {
-	out := append([]byte(nil), data...)
-	m.CorruptInPlace(rng, out)
-	return out
-}
-
-// CorruptInPlace implements InPlacer.
+// CorruptInPlace implements Model.
 func (m Misinsert) CorruptInPlace(rng *rand.Rand, out []byte) {
 	if m.Unit < 1 {
 		panic("errmodel: misinsert unit out of range")
@@ -341,14 +287,18 @@ func CRCCheck(p crc.Params) Check {
 	return Check{Name: p.Name, Digest: t.Checksum}
 }
 
-// Measure runs trials rounds of: corrupt data with model, test whether
-// check's digest changed.  It returns the number of undetected
-// corruptions.  Deterministic for a given seed.
+// Measure runs trials rounds of: corrupt a fresh copy of data with
+// model, test whether check's digest changed.  It returns the number of
+// undetected corruptions.  Deterministic for a given seed; data is left
+// untouched.
 func Measure(check Check, model Model, data []byte, trials int, seed uint64) (missed int) {
 	rng := rand.New(rand.NewPCG(seed, 0xE44))
 	orig := check.Digest(data)
+	buf := make([]byte, len(data))
 	for i := 0; i < trials; i++ {
-		if check.Digest(model.Corrupt(rng, data)) == orig {
+		copy(buf, data)
+		model.CorruptInPlace(rng, buf)
+		if check.Digest(buf) == orig {
 			missed++
 		}
 	}

@@ -18,20 +18,29 @@ func testData(n int) []byte {
 	return d
 }
 
+// damaged returns a copy of data that m has corrupted in place.
+func damaged(m Model, rng *rand.Rand, data []byte) []byte {
+	out := bytes.Clone(data)
+	m.CorruptInPlace(rng, out)
+	return out
+}
+
+// TestModelsDoNotMutateOriginal checks that Measure damages only its
+// own copy, and that every model changes the bytes it is given.
 func TestModelsDoNotMutateOriginal(t *testing.T) {
 	data := testData(64)
-	ref := append([]byte(nil), data...)
+	ref := bytes.Clone(data)
 	rng := rand.New(rand.NewPCG(1, 1))
 	for _, m := range []Model{
 		Burst{Bits: 9}, BitFlips{K: 3}, Garbage{Bytes: 8},
 		SolidBurst{Bits: 9}, Reorder{Unit: 8}, Misinsert{Unit: 8},
 	} {
-		out := m.Corrupt(rng, data)
+		Measure(TCPCheck(), m, data, 3, 1)
 		if !bytes.Equal(data, ref) {
-			t.Fatalf("%s mutated its input", m.Name())
+			t.Fatalf("Measure with %s mutated its input", m.Name())
 		}
-		if bytes.Equal(out, data) {
-			t.Fatalf("%s returned unchanged data", m.Name())
+		if out := damaged(m, rng, data); bytes.Equal(out, data) {
+			t.Fatalf("%s left the data unchanged", m.Name())
 		}
 	}
 }
@@ -41,7 +50,7 @@ func TestBurstSpan(t *testing.T) {
 	data := make([]byte, 32)
 	for trial := 0; trial < 200; trial++ {
 		bits := 1 + rng.IntN(64)
-		out := Burst{Bits: bits}.Corrupt(rng, data)
+		out := damaged(Burst{Bits: bits}, rng, data)
 		first, last := -1, -1
 		for i := 0; i < len(out)*8; i++ {
 			if out[i/8]&(0x80>>uint(i%8)) != 0 {
@@ -66,8 +75,8 @@ func TestBurstSpan(t *testing.T) {
 func TestBitFlipsCount(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	data := make([]byte, 32)
-	for _, k := range []int{1, 2, 7, 33} {
-		out := BitFlips{K: k}.Corrupt(rng, data)
+	for _, k := range []int{1, 2, 7, 33, 70} {
+		out := damaged(BitFlips{K: k}, rng, data)
 		flipped := 0
 		for _, b := range out {
 			for ; b != 0; b &= b - 1 {
@@ -84,7 +93,7 @@ func TestGarbageStaysInSpan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
 	data := testData(64)
 	for trial := 0; trial < 100; trial++ {
-		out := Garbage{Bytes: 4}.Corrupt(rng, data)
+		out := damaged(Garbage{Bytes: 4}, rng, data)
 		diffs := []int{}
 		for i := range out {
 			if out[i] != data[i] {

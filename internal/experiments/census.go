@@ -65,9 +65,7 @@ func DataCensus(cfg Config) []CensusRow {
 // undetected splices are — a handful of pathological files carry most
 // of the misses.
 type LocalityOfFailure struct {
-	Result     sim.Result
-	TopShare   float64 // share of all misses carried by the top 5 files
-	FilesOfAll float64 // those files as a share of all files
+	Result sim.Result
 }
 
 // Locality runs the attribution over the Stanford /u1 profile.
@@ -78,22 +76,33 @@ func Locality(cfg Config) LocalityOfFailure {
 	if err != nil {
 		panic(err)
 	}
-	var top uint64
-	n := 5
-	if n > len(res.WorstFiles) {
-		n = len(res.WorstFiles)
+	return LocalityOfFailure{Result: res}
+}
+
+// topFiles is how many files the top shares sum: the 5 worst, or every
+// attributed file when fewer were attributed.
+func (d LocalityOfFailure) topFiles() int { return min(5, len(d.Result.WorstFiles)) }
+
+// TopShare is the share of all missed splices the (up to) 5 worst files
+// carry; ok is false when no splice was missed.
+func (d LocalityOfFailure) TopShare() (share float64, ok bool) {
+	if d.Result.MissedByChecksum == 0 {
+		return 0, false
 	}
-	for _, f := range res.WorstFiles[:n] {
+	var top uint64
+	for _, f := range d.Result.WorstFiles[:d.topFiles()] {
 		top += f.Missed
 	}
-	out := LocalityOfFailure{Result: res}
-	if res.MissedByChecksum > 0 {
-		out.TopShare = float64(top) / float64(res.MissedByChecksum)
+	return float64(top) / float64(d.Result.MissedByChecksum), true
+}
+
+// FilesOfAll is those worst files as a share of all files; ok is false
+// when the corpus had none.
+func (d LocalityOfFailure) FilesOfAll() (share float64, ok bool) {
+	if d.Result.Files == 0 {
+		return 0, false
 	}
-	if res.Files > 0 {
-		out.FilesOfAll = float64(n) / float64(res.Files)
-	}
-	return out
+	return float64(d.topFiles()) / float64(d.Result.Files), true
 }
 
 // LocalityReport renders the worst-file attribution.
@@ -107,11 +116,22 @@ func LocalityReport(d LocalityOfFailure) string {
 		if f.Remaining > 0 {
 			rate = float64(f.Missed) / float64(f.Remaining)
 		}
-		t.AddRow(f.Path, report.Count(f.Remaining), report.Count(f.Missed), report.Percent(rate))
+		t.AddRow(f.Path, report.Count(f.Remaining), report.Count(f.Missed), report.RatePercent(rate, f.Remaining > 0))
+	}
+	// The summary keeps one decimal, coarser than report.Percent's three.
+	share := func(x float64, ok bool) string {
+		if !ok {
+			return "-"
+		}
+		return fmt.Sprintf("%.1f%%", 100*x)
+	}
+	noun := "files"
+	if d.topFiles() == 1 {
+		noun = "file"
 	}
 	s := t.Render()
-	s += fmt.Sprintf("\ntop 5 files (%.1f%% of all files) carry %.1f%% of all missed splices\n",
-		100*d.FilesOfAll, 100*d.TopShare)
+	s += fmt.Sprintf("\ntop %d %s (%s of all files) carry %s of all missed splices\n",
+		d.topFiles(), noun, share(d.FilesOfAll()), share(d.TopShare()))
 	return s
 }
 

@@ -312,8 +312,8 @@ func TestEffectiveBitsHeadline(t *testing.T) {
 // TestUnknownRatesRenderDash pins the honest-rate rule for the rows that
 // carry a miss rate: with no remaining splice (splice.Counts, Table 6's
 // per-length Actual), no corrupted reassembly (ipfrag.SwapResult) or no
-// splice at all (Table 10's identical-data rate) the rate is unknown and
-// renders "-", not "0" or "inf" bits.
+// splice at all (Table 10's identical-data rate, §5.5's missed-splice
+// share) the rate is unknown and renders "-", not "0" or "inf" bits.
 func TestUnknownRatesRenderDash(t *testing.T) {
 	cells := func(report, system string) []string {
 		for _, line := range strings.Split(report, "\n") {
@@ -355,6 +355,17 @@ func TestUnknownRatesRenderDash(t *testing.T) {
 	lz := netsim.Tally{Compressed: true, Comp: netsim.CompStats{Files: 2, CompBytes: 2}}
 	if got, _, _ := strings.Cut(lz.Report(), "\n"); got != "lz payload stage: 2 files, 0 -> 2 bytes, ratio min=- mean=- max=-" {
 		t.Errorf("lz summary %q, want every ratio \"-\"", got)
+	}
+	// One attributed file and no missed splice: the missed share is 0/0.
+	loc := LocalityReport(LocalityOfFailure{Result: sim.Result{
+		Files:      1,
+		WorstFiles: []sim.FileMisses{{Path: "only", Remaining: 0}},
+	}})
+	if f := cells(loc, "only"); f[len(f)-1] != "-" {
+		t.Errorf("locality row %q, want rate \"-\"", f)
+	}
+	if want := "top 1 file (100.0% of all files) carry - of all missed splices"; !strings.Contains(loc, want) {
+		t.Errorf("locality summary missing %q in:\n%s", want, loc)
 	}
 	var trailer sim.Result
 	trailer.Total, trailer.IdenticalFailedChecksum = 4, 1

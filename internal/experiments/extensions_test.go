@@ -125,11 +125,11 @@ func TestLocalityOfFailure(t *testing.T) {
 	}
 	// §5.5: failures are concentrated — the top 5 files (a few percent
 	// of the corpus) should carry a large share of all misses.
-	if d.TopShare < 0.3 {
-		t.Errorf("top-5 files carry only %.1f%% of misses; expected sharp locality", 100*d.TopShare)
+	if top, _ := d.TopShare(); top < 0.3 {
+		t.Errorf("top-5 files carry only %.1f%% of misses; expected sharp locality", 100*top)
 	}
-	if d.FilesOfAll > 0.2 {
-		t.Errorf("top files are %.1f%% of the corpus; attribution degenerate", 100*d.FilesOfAll)
+	if files, _ := d.FilesOfAll(); files > 0.2 {
+		t.Errorf("top files are %.1f%% of the corpus; attribution degenerate", 100*files)
 	}
 	// Sorted descending by misses.
 	w := d.Result.WorstFiles

@@ -101,19 +101,6 @@ func (m Mod) Append(p Pair, lenQ int, q Pair) Pair {
 	return Pair{A: m.add(ps.A, q.A), B: m.add(ps.B, q.B)}
 }
 
-// Combine folds standalone fragment pairs (in packet order, with their
-// lengths) into the pair of the whole packet.
-func Combine(m Mod, pairs []Pair, lens []int) Pair {
-	if len(pairs) != len(lens) {
-		panic("fletcher: Combine pairs/lens length mismatch")
-	}
-	var acc Pair
-	for i := range pairs {
-		acc = m.Append(acc, lens[i], pairs[i])
-	}
-	return acc
-}
-
 // CheckBytes computes the two check bytes x, y to be stored adjacently
 // (x immediately before y) with trailing bytes of the packet following y,
 // so that the Fletcher sum of the completed packet is (0, 0) — the

@@ -136,31 +136,6 @@ func TestAppendMatchesWhole(t *testing.T) {
 	}
 }
 
-func TestCombineCells(t *testing.T) {
-	rng := rand.New(rand.NewPCG(4, 4))
-	for _, m := range []Mod{Mod255, Mod256} {
-		data := randBytes(rng, 48*7)
-		var pairs []Pair
-		var lens []int
-		for off := 0; off < len(data); off += 48 {
-			pairs = append(pairs, m.Sum(data[off:off+48]))
-			lens = append(lens, 48)
-		}
-		if got, want := Combine(m, pairs, lens), m.Sum(data); got != want {
-			t.Errorf("mod %d: Combine = %+v, want %+v", m, got, want)
-		}
-	}
-}
-
-func TestCombinePanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Combine should panic on pairs/lens length mismatch")
-		}
-	}()
-	Combine(Mod256, []Pair{{}}, nil)
-}
-
 func TestCheckBytesSumToZero(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	for _, m := range []Mod{Mod255, Mod256} {

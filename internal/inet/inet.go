@@ -1,8 +1,8 @@
 // Package inet implements the Internet checksum of RFC 1071 — the 16-bit
 // ones-complement sum used by IP, TCP and UDP — together with the
 // compositional machinery the paper's splice analysis depends on:
-// partial sums over fragments at arbitrary byte offsets, combination of
-// partials, and incremental update.
+// partial sums over fragments at arbitrary byte offsets, appended in
+// order, and incremental update.
 //
 // The checksum of a packet equals the ones-complement sum of the partial
 // sums of its pieces (§4.1 of the paper), with one twist: a fragment that
@@ -50,28 +50,6 @@ func (p Partial) Append(q Partial) Partial {
 		s = onescomp.Swap(s)
 	}
 	return Partial{Sum: onescomp.Add(p.Sum, s), Len: p.Len + q.Len}
-}
-
-// AtOffset returns the contribution of p's fragment to the sum of a
-// buffer in which the fragment begins at byte offset off.  For the
-// Internet checksum only the parity of off matters — this is the formal
-// statement of why the TCP sum is position-blind for word-aligned
-// shuffles, the root cause of the splice failures of §4.
-func (p Partial) AtOffset(off int) uint16 {
-	if off%2 == 1 {
-		return onescomp.Swap(p.Sum)
-	}
-	return p.Sum
-}
-
-// Combine folds a sequence of partials over adjacent fragments, in
-// order, into the partial of the whole buffer.
-func Combine(parts ...Partial) Partial {
-	var acc Partial
-	for _, p := range parts {
-		acc = acc.Append(p)
-	}
-	return acc
 }
 
 // Update adjusts a raw sum for the 16-bit word at even offset changing

@@ -90,30 +90,6 @@ func TestPartialAppendAssociative(t *testing.T) {
 	}
 }
 
-func TestCombineManyFragments(t *testing.T) {
-	rng := rand.New(rand.NewPCG(4, 4))
-	data := randBytes(rng, 48*7)
-	var parts []Partial
-	for off := 0; off < len(data); off += 48 {
-		parts = append(parts, NewPartial(data[off:off+48]))
-	}
-	got := Combine(parts...)
-	want := NewPartial(data)
-	if got.Len != want.Len || !onescomp.Congruent(got.Sum, want.Sum) {
-		t.Fatalf("Combine over 7 cells: got %+v, want %+v", got, want)
-	}
-}
-
-func TestAtOffsetParity(t *testing.T) {
-	p := Partial{Sum: 0x1234, Len: 10}
-	if p.AtOffset(0) != 0x1234 || p.AtOffset(2) != 0x1234 {
-		t.Error("even offsets must not swap")
-	}
-	if p.AtOffset(1) != 0x3412 || p.AtOffset(47) != 0x3412 {
-		t.Error("odd offsets must swap")
-	}
-}
-
 func TestPositionBlindness(t *testing.T) {
 	// The defining weakness (§2): reordering word-aligned cells does not
 	// change the checksum.

@@ -169,7 +169,7 @@ func (d *DropChannel) Transmit(rng *rand.Rand, s *Stream) {
 // length/CRC fields would silently turn a payload fault into a framing
 // fault.
 type CellCorrupt struct {
-	Model   errmodel.InPlacer
+	Model   errmodel.Model
 	PerCell float64
 }
 
@@ -203,7 +203,7 @@ func (c *CellCorrupt) Transmit(rng *rand.Rand, s *Stream) {
 // positions — the fault class where positional checksums (Fletcher,
 // CRC) and the position-blind TCP sum separate most sharply.
 type CellShuffle struct {
-	Model     errmodel.InPlacer
+	Model     errmodel.Model
 	PerPacket float64
 
 	scratch []byte

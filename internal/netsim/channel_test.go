@@ -43,7 +43,7 @@ func makeStream(t *testing.T, sizes ...int) Stream {
 // delivered trailer is bit-identical, while the data bytes ahead of the
 // trailer do get damaged.
 func TestCellCorruptPreservesTrailer(t *testing.T) {
-	for _, model := range []errmodel.InPlacer{
+	for _, model := range []errmodel.Model{
 		errmodel.BitFlips{K: 2},
 		errmodel.SolidBurst{Bits: 32},
 	} {

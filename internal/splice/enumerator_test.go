@@ -3,7 +3,6 @@ package splice
 import (
 	"bytes"
 	"math/rand/v2"
-	"slices"
 	"testing"
 
 	"realsum/internal/atm"
@@ -137,10 +136,11 @@ func TestPruningEdgeEmbeddedHeader(t *testing.T) {
 }
 
 // TestCountingMatchesVisiting checks the counting walk, which counts
-// header-caught subtrees without visiting them, against the visitor
-// walk, which reaches every leaf: identical Counts, exactly Total
-// visits, and selections of n2−1 strictly increasing pool indices in
-// ascending lexicographic order.
+// header-caught subtrees without visiting them, against the
+// brute-force refEnumerate, which visits every leaf, materializes its
+// splice and classifies it: identical Counts over the full options
+// matrix at payload-size pairs with runts and unequal cell counts in
+// both directions.
 func TestCountingMatchesVisiting(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 14))
 	type geom struct{ n1, n2 int }
@@ -155,31 +155,10 @@ func TestCountingMatchesVisiting(t *testing.T) {
 			flow := tcpip.NewLoopbackFlow(cfg.Opts)
 			p1 := flow.NextPacket(nil, makePayload(rng, g.n1, kind))
 			p2 := flow.NextPacket(nil, makePayload(rng, g.n2, kind))
-			need := atm.CellCount(len(p2)) - 1
-			var visits uint64
-			var prev []int
-			visited := e.VisitPair(p1, p2, cfg, false, func(s Splice) {
-				visits++
-				sel := s.Selection
-				if len(sel) != need {
-					t.Fatalf("cfg[%d] %v: selection %v has length %d, want %d", ci, g, sel, len(sel), need)
-				}
-				for j := 1; j < len(sel); j++ {
-					if sel[j] <= sel[j-1] {
-						t.Fatalf("cfg[%d] %v: selection %v not strictly increasing", ci, g, sel)
-					}
-				}
-				if prev != nil && slices.Compare(prev, sel) >= 0 {
-					t.Fatalf("cfg[%d] %v: selection %v visited after %v", ci, g, sel, prev)
-				}
-				prev = append(prev[:0], sel...)
-			})
 			counted := e.Pair(p1, p2, cfg)
+			visited := refEnumerate(p1, p2, cfg)
 			if counted != visited {
 				t.Errorf("cfg[%d] %+v %v:\ncounted %+v\nvisited %+v", ci, cfg.Opts, g, counted, visited)
-			}
-			if visits != counted.Total {
-				t.Errorf("cfg[%d] %+v %v: visitor saw %d splices, Total %d", ci, cfg.Opts, g, visits, counted.Total)
 			}
 		}
 	}
@@ -204,8 +183,7 @@ func TestBinomialTable(t *testing.T) {
 
 // TestEnumeratorSteadyStateZeroAllocs is the allocation regression
 // gate: once warm, enumerating a pair must not allocate, for the plain
-// TCP path, the Fletcher/trailer path, and the CRC-checked path alike,
-// whether it counts (Pair) or visits every splice (VisitPair).
+// TCP path, the Fletcher/trailer path, and the CRC-checked path alike.
 func TestEnumeratorSteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 21))
 	cases := []struct {
@@ -233,15 +211,6 @@ func TestEnumeratorSteadyStateZeroAllocs(t *testing.T) {
 			if avg != 0 {
 				t.Errorf("steady-state Pair allocates %.1f objects/op, want 0", avg)
 			}
-			visits := 0
-			fn := func(Splice) { visits++ }
-			e.VisitPair(p1, p2, tc.cfg, false, fn)
-			avg = testing.AllocsPerRun(50, func() {
-				e.VisitPair(p1, p2, tc.cfg, false, fn)
-			})
-			if avg != 0 {
-				t.Errorf("steady-state VisitPair allocates %.1f objects/op, want 0", avg)
-			}
 		})
 	}
 }
@@ -250,10 +219,9 @@ var benchSink Counts
 
 // BenchmarkEnumeratorPair times the steady-state hot path the tables
 // are built from: one warm enumerator classifying a 7-cell pair (923
-// candidate splices) with the CRC check on.  "count" is Pair, which
-// counts header-caught subtrees in O(1); "visit" is VisitPair, which
-// walks every leaf.  Both report ns per candidate splice and the share
-// of candidates the header battery caught.
+// candidate splices) with the CRC check on; header-caught subtrees are
+// counted in O(1).  It reports ns per candidate splice and the share of
+// candidates the header battery caught.
 func BenchmarkEnumeratorPair(b *testing.B) {
 	flow := tcpip.NewLoopbackFlow(tcpip.BuildOptions{})
 	payload := make([]byte, 256)
@@ -263,23 +231,15 @@ func BenchmarkEnumeratorPair(b *testing.B) {
 	p1 := flow.NextPacket(nil, payload)
 	p2 := flow.NextPacket(nil, payload)
 	cfg := Config{Opts: tcpip.BuildOptions{}, CheckCRC: true}
-	for _, mode := range []struct {
-		name string
-		run  func(e *Enumerator) Counts
-	}{
-		{"count", func(e *Enumerator) Counts { return e.Pair(p1, p2, cfg) }},
-		{"visit", func(e *Enumerator) Counts { return e.VisitPair(p1, p2, cfg, false, func(Splice) {}) }},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := NewEnumerator()
-			c := mode.run(e)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchSink = mode.run(e)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.Total), "ns/candidate")
-			b.ReportMetric(float64(c.CaughtByHeader)/float64(c.Total), "header-caught-share")
-		})
-	}
+	b.Run("count", func(b *testing.B) {
+		e := NewEnumerator()
+		c := e.Pair(p1, p2, cfg)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink = e.Pair(p1, p2, cfg)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.Total), "ns/candidate")
+		b.ReportMetric(float64(c.CaughtByHeader)/float64(c.Total), "header-caught-share")
+	})
 }

@@ -29,10 +29,10 @@
 // splice is therefore classified in O(cells) XOR/add steps instead of
 // O(bytes), which is what makes whole-file-system enumeration cheap.
 //
-// Counting (Enumerator.Pair, without a visitor) goes further: once the
-// slot-0 cell fails the header battery, every splice below it is caught
-// by the header, so the walk adds that subtree's size from a binomial
-// table in O(1) instead of visiting its leaves.  On the Tables 1–3
+// The walk counts; it never visits what it can count.  Once the slot-0
+// cell fails the header battery, every splice below it is caught by the
+// header, so the walk adds that subtree's size from a binomial table in
+// O(1) instead of visiting its leaves.  On the Tables 1–3
 // corpora 50.1% of candidates are caught this way, and the per-pair
 // cost (the splice.pair layer of the benchmark) fell from 58 to 33 µs,
 // 64 to 36 ns per candidate, on a 2-vCPU Intel Xeon with go1.24.
@@ -142,16 +142,6 @@ func NewEnumerator() *Enumerator { return &Enumerator{} }
 // IPv4 packets as built by tcpip.Flow) and returns the classification
 // counts.  Packets too short to segment are ignored.
 func (e *Enumerator) Pair(p1, p2 []byte, cfg Config) Counts {
-	return e.pair(p1, p2, cfg, nil, false)
-}
-
-// VisitPair is Pair with a per-splice callback; see the package-level
-// VisitPair for the callback contract.
-func (e *Enumerator) VisitPair(p1, p2 []byte, cfg Config, materialize bool, fn func(Splice)) Counts {
-	return e.pair(p1, p2, cfg, fn, materialize)
-}
-
-func (e *Enumerator) pair(p1, p2 []byte, cfg Config, visit func(Splice), visitSDU bool) Counts {
 	var err1, err2 error
 	e.cells1, err1 = atm.AppendSegment(e.cells1[:0], p1, 0, 32)
 	e.cells2, err2 = atm.AppendSegment(e.cells2[:0], p2, 0, 32)
@@ -160,10 +150,7 @@ func (e *Enumerator) pair(p1, p2 []byte, cfg Config, visit func(Splice), visitSD
 	}
 	st := &e.st
 	st.reset(p1, p2, e.cells1, e.cells2, cfg)
-	st.visit = visit
-	st.visitSDU = visitSDU
 	st.enumerate()
-	st.visit = nil
 	return st.counts
 }
 
@@ -228,9 +215,6 @@ type pairState struct {
 	stack  []branch // stack[d]: branch state after d cells are chosen
 	sel    []int    // sel[d]: pool index chosen at slot d
 	sdubuf []byte   // scratch for materialized verification
-
-	visit    func(Splice) // optional per-splice callback (VisitPair)
-	visitSDU bool         // materialize SDU bytes for the callback
 
 	counts Counts
 }
@@ -433,12 +417,13 @@ var binomial = func() (t [63][63]uint64) {
 // take step writes stack[d+1] from stack[d] and backtracking resumes
 // slot d at sel[d]+1.
 //
-// In counting mode the walk does not descend below a slot-0 cell whose
-// header battery fails: every leaf under it is caught by the header,
-// and a packet-1 cell at pool index i heads C(len(pool)−i−1, need−1) of
-// them.  A packet-2 cell at slot 0 forces the rest of the selection to
-// packet 2 too, which is the excluded identity.  With a visitor
-// attached, every leaf is walked and emitted.
+// The walk does not descend below a slot-0 cell whose header battery
+// fails: every leaf under it is caught by the header, and a packet-1
+// cell at pool index i heads C(len(pool)−i−1, need−1) of them.  A
+// packet-2 cell at slot 0 forces the rest of the selection to packet 2
+// too, which is the excluded identity.  A pool too large for the
+// binomial table (over 62 cells, far past any walk that finishes)
+// walks every leaf.
 func (st *pairState) enumerate() {
 	need := st.n2 - 1
 	n := len(st.pool)
@@ -449,7 +434,7 @@ func (st *pairState) enumerate() {
 		st.leaf(&st.stack[0])
 		return
 	}
-	prune := st.visit == nil && n <= len(binomial)
+	prune := n <= len(binomial)
 	d, i := 0, 0 // i is the next pool index to try at slot d
 	for {
 		if i > n-need+d {
@@ -540,7 +525,6 @@ func (st *pairState) leaf(b *branch) {
 	}
 	if !hdrOK {
 		st.counts.CaughtByHeader++
-		st.emit(b, ClassCaughtByHeader, false, false)
 		return
 	}
 
@@ -556,7 +540,6 @@ func (st *pairState) leaf(b *branch) {
 		} else {
 			st.counts.IdenticalFailedChecksum++
 		}
-		st.emit(b, ClassIdentical, ckOK, false)
 		return
 	}
 
@@ -571,38 +554,12 @@ func (st *pairState) leaf(b *branch) {
 		st.counts.MissedByChecksum++
 		st.counts.MissedByLen[subLen]++
 	}
-	crcOK := false
 	if st.cfg.CheckCRC && b.crcAcc == st.crcWant {
-		crcOK = true
 		st.counts.MissedByCRC++
 		if ckOK {
 			st.counts.MissedByBoth++
 		}
 	}
-	class := ClassDetected
-	if ckOK {
-		class = ClassMissed
-	}
-	st.emit(b, class, ckOK, crcOK)
-}
-
-// emit invokes the visitor callback, if any.
-func (st *pairState) emit(b *branch, class Class, ckOK, crcOK bool) {
-	if st.visit == nil {
-		return
-	}
-	s := Splice{
-		CellsFromP1:    b.fromP1,
-		CellsFromP2:    st.n2 - b.fromP1,
-		Selection:      st.sel,
-		Class:          class,
-		PassedChecksum: ckOK,
-		PassedCRC:      crcOK,
-	}
-	if st.visitSDU {
-		s.SDU = st.materializeSDU()
-	}
-	st.visit(s)
 }
 
 // checksumPasses evaluates the transport checksum of the completed

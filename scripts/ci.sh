@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # CI gate: vet, build, full test suite, bounded splice-enumerator,
-# PMF-convolution, composed-scoring, -dir tree, CRC slicing-vs-scalar
-# and census order/A3 fuzz runs, the race detector over the concurrent
-# packages, the workers-determinism guarantees, the CRC engine against
-# its scalar oracle and composed netsim scoring, the census pins, the
-# bench/ harness tests, and a one-iteration smoke of the per-algorithm
-# checksum benchmark.
+# PMF-convolution, composed-scoring, Stride composition-law, -dir tree,
+# CRC slicing-vs-scalar and census order/A3 fuzz runs, the race
+# detector over the concurrent packages, the workers-determinism
+# guarantees, the CRC engine against its scalar oracle and composed
+# netsim scoring, the census pins, the bench/ harness tests, and a
+# one-iteration smoke of the per-algorithm checksum benchmark.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,6 +47,12 @@ go test -race -count=1 -run 'ComposedScore|SentPDUs|Stride|Shift' ./internal/net
 
 echo "== composed scoring fuzz (10 s of random cell trains and damage) =="
 go test -run '^$' -fuzz FuzzComposedScoreMatchesDirect -fuzztime 10s ./internal/netsim/
+
+echo "== Stride composition law fuzz (10 s of random blocks, tails and CRC widths) =="
+# Every registry algorithm and a generic CRC of fuzzed width and
+# polynomial, folded from per-block partials at an even block size
+# 2-96, against the one-shot Sum.
+go test -run '^$' -fuzz FuzzStrideMatchesSum -fuzztime 10s ./internal/algo/
 
 echo "== -dir tree fuzz (10 s: symlinks, loops, empty and unreadable files) =="
 go test -run '^$' -fuzz FuzzScanDir -fuzztime 10s ./internal/corpus/
