@@ -38,22 +38,6 @@ func Checksum(data []byte) uint32 {
 	return b<<16 | a
 }
 
-// Pair is the decomposed Adler state, for positional composition in
-// the style of fletcher.Pair.
-type Pair struct {
-	A uint32 // byte sum + 1, mod 65521
-	B uint32 // position-weighted sum, mod 65521
-}
-
-// Checksum32 packs the pair into the standard Adler-32 value.
-func (p Pair) Checksum32() uint32 { return p.B<<16 | p.A }
-
-// Sum computes the pair over data.
-func Sum(data []byte) Pair {
-	ck := Checksum(data)
-	return Pair{A: ck & 0xFFFF, B: ck >> 16}
-}
-
 // Digest is a streaming Adler-32 accumulator.
 type Digest struct {
 	a, b uint32

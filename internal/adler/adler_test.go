@@ -72,17 +72,6 @@ func TestDigestStreaming(t *testing.T) {
 	}
 }
 
-func TestSumPairPacking(t *testing.T) {
-	data := []byte("pack my box")
-	p := Sum(data)
-	if p.Checksum32() != Checksum(data) {
-		t.Error("Pair packing mismatch")
-	}
-	if p.A >= Mod || p.B >= Mod {
-		t.Error("pair components not reduced")
-	}
-}
-
 func TestNoTwoZerosUnlikeFletcher255(t *testing.T) {
 	// The prime modulus kills the paper's §5.5 PBM pathology: a cell of
 	// 0xFF bytes is NOT congruent to a cell of zeros under Adler.

@@ -2,11 +2,12 @@
 // GF(2) for any width from 1 to 64 bits, parameterized in the Rocksoft
 // model (width, polynomial, initial value, input/output reflection,
 // final XOR).  It provides a bitwise reference implementation, a
-// table-driven fast path, the affine shift operators that compose a
-// CRC from per-block partials (affine.go), and a catalog of the
-// algorithms the paper uses or mentions: CRC-32 (the AAL5/IEEE 802.3
-// polynomial), CRC-10 (the ATM OAM polynomial), the CRC-16 family, and
-// the CRC-8 HEC of the ATM cell header.
+// table-driven fast path, the affine operators that compose a CRC from
+// per-block partials and patch a damaged block's partial from its
+// difference (affine.go), and a catalog of the algorithms the paper
+// uses or mentions: CRC-32 (the AAL5/IEEE 802.3 polynomial), CRC-10
+// (the ATM OAM polynomial), the CRC-16 family, and the CRC-8 HEC of
+// the ATM cell header.
 //
 // Every table runs one engine: slicing-by-8 with a byte-at-a-time
 // tail (slicing.go).  The plain byte-at-a-time loop, updateScalar, is

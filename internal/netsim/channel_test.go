@@ -12,26 +12,42 @@ import (
 )
 
 // makeStream segments packets of the given payload sizes into one cell
-// train with origin and source tags, as the netsim sender does.
+// train and loads it as a stream, as the netsim sender does.
 func makeStream(t *testing.T, sizes ...int) Stream {
 	t.Helper()
-	var s Stream
+	var cells []atm.Cell
+	var origin []int32
 	for k, n := range sizes {
 		sdu := make([]byte, n)
 		for i := range sdu {
 			sdu[i] = byte(i*13 + k)
 		}
-		cells, err := atm.AppendSegment(s.Cells, sdu, 0, 32)
-		if err != nil {
+		var err error
+		if cells, err = atm.AppendSegment(cells, sdu, 0, 32); err != nil {
 			t.Fatal(err)
 		}
-		for i := len(s.Origin); i < len(cells); i++ {
-			s.Origin = append(s.Origin, int32(k))
-			s.Src = append(s.Src, int32(i))
+		for len(origin) < len(cells) {
+			origin = append(origin, int32(k))
 		}
-		s.Cells = cells
 	}
+	hdrs := make([]atm.Header, len(cells))
+	var sent []byte
+	for i := range cells {
+		hdrs[i] = cells[i].Header
+		sent = append(sent, cells[i].Payload[:]...)
+	}
+	var s Stream
+	s.load(hdrs, sent, origin, 0, len(cells))
 	return s
+}
+
+// cellsOf materializes a stream's cells: each one's header and payload.
+func cellsOf(s *Stream) []atm.Cell {
+	cells := make([]atm.Cell, s.Len())
+	for i := range cells {
+		cells[i] = atm.Cell{Header: s.hdrs[s.Hdr[i]], Payload: *s.body(s.Body[i])}
+	}
+	return cells
 }
 
 // TestCellCorruptPreservesTrailer is the regression test for the
@@ -53,11 +69,11 @@ func TestCellCorruptPreservesTrailer(t *testing.T) {
 		}
 		s := makeStream(t, sizes...)
 		var want []atm.Trailer
-		for i := range s.Cells {
-			if !s.Cells[i].Header.EndOfPacket() {
+		for i := range s.Len() {
+			if !s.EndOfPacket(i) {
 				t.Fatal("expected every cell to be end-of-packet")
 			}
-			want = append(want, atm.DecodeTrailer(s.Cells[i].Payload[:]))
+			want = append(want, atm.DecodeTrailer(s.body(s.Body[i])[:]))
 		}
 
 		ch := &CellCorrupt{Model: model, PerCell: 1}
@@ -65,13 +81,13 @@ func TestCellCorruptPreservesTrailer(t *testing.T) {
 		touched := false
 		for round := 0; round < 50; round++ {
 			ch.Transmit(rng, &s)
-			for i := range s.Cells {
-				if got := atm.DecodeTrailer(s.Cells[i].Payload[:]); got != want[i] {
+			for i := range s.Len() {
+				if got := atm.DecodeTrailer(s.body(s.Body[i])[:]); got != want[i] {
 					t.Fatalf("%s round %d cell %d: trailer rewritten: got %v want %v",
 						model.Name(), round, i, got, want[i])
 				}
-				for _, b := range s.Cells[i].Payload[:atm.PayloadSize-atm.TrailerSize] {
-					if b != 0 && s.Cells[i].Payload[0] != byte(i*13) {
+				for _, b := range s.body(s.Body[i])[:atm.PayloadSize-atm.TrailerSize] {
+					if b != 0 && s.body(s.Body[i])[0] != byte(i*13) {
 						touched = true
 					}
 				}
@@ -96,15 +112,14 @@ func TestCellCorruptDataCellsFullPayload(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 6))
 	lastFive := false
 	for round := 0; round < 200 && !lastFive; round++ {
-		orig := make([]atm.Cell, len(s.Cells))
-		copy(orig, s.Cells)
+		orig := cellsOf(&s)
 		ch.Transmit(rng, &s)
-		for i := range s.Cells {
-			if s.Cells[i].Header.EndOfPacket() {
+		for i := range s.Len() {
+			if s.EndOfPacket(i) {
 				continue
 			}
 			for b := atm.PayloadSize - atm.TrailerSize; b < atm.PayloadSize; b++ {
-				if s.Cells[i].Payload[b] != orig[i].Payload[b] {
+				if s.body(s.Body[i])[b] != orig[i].Payload[b] {
 					lastFive = true
 				}
 			}
@@ -182,23 +197,24 @@ func TestCellDupRejectedByLengthCheck(t *testing.T) {
 
 // TestCellDupTransmitShape checks the stream-level mechanics directly:
 // hit packets gain exactly one cell, the duplicate is adjacent to its
-// original, and origin tags stay parallel.
+// original, and the header and origin tags stay parallel.
 func TestCellDupTransmitShape(t *testing.T) {
 	s := makeStream(t, 300, 300, 300)
-	nCells, nOrigin := len(s.Cells), len(s.Origin)
+	nCells, nOrigin := s.Len(), len(s.Origin)
 	ch := &CellDup{PerPacket: 1}
 	ch.Transmit(rand.New(rand.NewPCG(7, 7)), &s)
-	if len(s.Cells) != nCells+3 {
-		t.Fatalf("3 packets at PerPacket=1: got %d cells, want %d", len(s.Cells), nCells+3)
+	if s.Len() != nCells+3 {
+		t.Fatalf("3 packets at PerPacket=1: got %d cells, want %d", s.Len(), nCells+3)
 	}
-	if len(s.Origin) != nOrigin+3 {
-		t.Fatalf("origin not parallel: %d tags for %d cells", len(s.Origin), len(s.Cells))
+	if len(s.Origin) != nOrigin+3 || len(s.Hdr) != s.Len() {
+		t.Fatalf("tags not parallel: %d origin and %d header tags for %d cells", len(s.Origin), len(s.Hdr), s.Len())
 	}
+	cells := cellsOf(&s)
 	dups := 0
-	for i := 1; i < len(s.Cells); i++ {
-		if s.Cells[i] == s.Cells[i-1] && s.Origin[i] == s.Origin[i-1] {
+	for i := 1; i < len(cells); i++ {
+		if cells[i] == cells[i-1] && s.Origin[i] == s.Origin[i-1] {
 			dups++
-			if s.Cells[i].Header.EndOfPacket() {
+			if s.EndOfPacket(i) {
 				t.Error("trailer cell duplicated; only data cells are eligible")
 			}
 		}
@@ -268,7 +284,7 @@ func TestDropChannelTrialPurity(t *testing.T) {
 		s := makeStream(t, 600, 600, 600, 600)
 		ch := &DropChannel{Policy: lossim.GilbertElliottAt(0.2, 5, 0.05, 0.9)}
 		ch.Transmit(rand.New(rand.NewPCG(3, 9)), &s)
-		return s.Cells, s.Origin
+		return cellsOf(&s), s.Origin
 	}
 	c1, o1 := run()
 	c2, o2 := run()
@@ -281,7 +297,75 @@ func TestDropChannelTrialPurity(t *testing.T) {
 		}
 	}
 	full := makeStream(t, 600, 600, 600, 600)
-	if len(c1) >= len(full.Cells) {
+	if len(c1) >= full.Len() {
 		t.Error("20% correlated loss dropped nothing; purity test is vacuous")
+	}
+}
+
+// TestCellShuffleMatchesGatheredModel holds the tag-level shuffle to the
+// record model run over gathered payload bytes: for every packet with
+// two or more data cells, the same rng draws and the same payload
+// moves, including a packet whose first cells repeat (where the model's
+// equality scans decide what moves) and a stranded tail with no
+// trailer.
+func TestCellShuffleMatchesGatheredModel(t *testing.T) {
+	for _, model := range []errmodel.RecordModel{
+		errmodel.Reorder{Unit: atm.PayloadSize},
+		errmodel.Misinsert{Unit: atm.PayloadSize},
+	} {
+		moved := 0
+		for seed := uint64(0); seed < 20; seed++ {
+			s := makeStream(t, 400, 1, 300, 96, 500)
+			// Zero the first four data cells of the third packet, so its
+			// records repeat.
+			for i, k := 0, 0; i < s.Len(); i++ {
+				if s.Origin[i] == 2 && k < 4 {
+					*s.Mutable(i) = [atm.PayloadSize]byte{}
+					k++
+				}
+			}
+			// Drop the last trailer: the fifth packet becomes a stranded tail.
+			n := s.Len() - 1
+			s.Hdr, s.Origin, s.Body = s.Hdr[:n], s.Origin[:n], s.Body[:n]
+			want := cellsOf(&s)
+			ref := rand.New(rand.NewPCG(seed, 8))
+			for i := 0; i < len(want); {
+				j := i
+				for j < len(want) && !want[j].Header.EndOfPacket() {
+					j++
+				}
+				if j >= len(want) {
+					break
+				}
+				if ref.Float64() < 0.7 && j-i >= 2 {
+					var buf []byte
+					for k := i; k < j; k++ {
+						buf = append(buf, want[k].Payload[:]...)
+					}
+					model.CorruptInPlace(ref, buf)
+					for k := i; k < j; k++ {
+						copy(want[k].Payload[:], buf[(k-i)*atm.PayloadSize:])
+					}
+				}
+				i = j + 1
+			}
+			before := append([]int32{}, s.Body...)
+			rng := rand.New(rand.NewPCG(seed, 8))
+			(&CellShuffle{Model: model, PerPacket: 0.7}).Transmit(rng, &s)
+			for i, c := range cellsOf(&s) {
+				if c != want[i] {
+					t.Fatalf("%s seed %d: cell %d differs from the gathered model's", model.Name(), seed, i)
+				}
+				if s.Body[i] != before[i] {
+					moved++
+				}
+			}
+			if rng.Uint64() != ref.Uint64() {
+				t.Errorf("%s seed %d: the shuffle drew a different number of rng values", model.Name(), seed)
+			}
+		}
+		if moved == 0 {
+			t.Errorf("%s: no body tag moved; the test is vacuous", model.Name())
+		}
 	}
 }

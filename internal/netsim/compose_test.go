@@ -16,14 +16,15 @@ import (
 )
 
 // oracleMismatch re-scores the candidate judge just scored — cells
-// ending in a trailer that claims sent PDU p — by full recompute:
-// algo.Sum over the reassembled bytes and over the sent PDU, byte
-// comparisons for intactness and a table CRC-32 for the AAL5 trailer.
-// It returns "" when every composed sum and verdict agrees.
-func oracleMismatch(w *worker, p int, cells []atm.Cell) string {
+// [a, b) of s, ending in a trailer that claims sent PDU p — by full
+// recompute: algo.Sum over the payload bytes the cells carry and over
+// the sent PDU, byte comparisons for intactness and a table CRC-32 for
+// the AAL5 trailer.  It returns "" when every composed sum and verdict
+// agrees.
+func oracleMismatch(w *worker, p int, s *Stream, a, b int) string {
 	var recv []byte
-	for i := range cells {
-		recv = append(recv, cells[i].Payload[:]...)
+	for i := a; i < b; i++ {
+		recv = append(recv, s.body(s.Body[i])[:]...)
 	}
 	sent := w.pduArena[w.pduOff[p]:w.pduOff[p+1]]
 	n := w.pktLen[p]
@@ -82,12 +83,12 @@ type auditCounts struct{ judged, corrupted atomic.Int64 }
 
 // audited installs the full-recompute oracle on w.
 func audited(t testing.TB, w *worker, n *auditCounts) *worker {
-	w.audit = func(p int, cells []atm.Cell) {
+	w.audit = func(p int, s *Stream, a, b int) {
 		n.judged.Add(1)
 		if !w.intact {
 			n.corrupted.Add(1)
 		}
-		if msg := oracleMismatch(w, p, cells); msg != "" {
+		if msg := oracleMismatch(w, p, s, a, b); msg != "" {
 			t.Error(msg)
 		}
 	}
@@ -165,7 +166,7 @@ func TestSentPDUsPassReceiver(t *testing.T) {
 					var sent Stream
 					lo, hi := w.cellSpan(k)
 					w.send(&sent, lo, hi)
-					sdu, err := atm.Reassemble(sent.Cells)
+					sdu, err := atm.Reassemble(cellsOf(&sent))
 					if err != nil {
 						t.Fatalf("%s: AAL5 rejects a sent PDU: %v", where, err)
 					}
@@ -201,39 +202,44 @@ func TestSentPDUsPassReceiver(t *testing.T) {
 // fuzzChannel damages the cell train by a byte program: each 3-byte op
 // names a fault and two cell positions.  Besides what the default
 // battery does (drop, duplicate, bit flips, payload swaps and copies)
-// it moves whole cells with their tags and writes stale source tags, so
-// the receiver's cell matching meets every shape of train.
+// it moves whole cells with their tags and writes stale arena source
+// tags, so the receiver's scoring meets every shape of train.
 type fuzzChannel struct{ ops []byte }
 
 func (fuzzChannel) Name() string { return "fuzz" }
 
 func (c fuzzChannel) Transmit(_ *rand.Rand, s *Stream) {
 	for o := 0; o+3 <= len(c.ops) && o < 3*32; o += 3 {
-		if len(s.Cells) == 0 {
+		if s.Len() == 0 {
 			return
 		}
-		i, j := int(c.ops[o+1])%len(s.Cells), int(c.ops[o+2])%len(s.Cells)
+		i, j := int(c.ops[o+1])%s.Len(), int(c.ops[o+2])%s.Len()
 		switch c.ops[o] % 7 {
 		case 0: // drop cell i
-			s.Cells = append(s.Cells[:i], s.Cells[i+1:]...)
+			s.Hdr = append(s.Hdr[:i], s.Hdr[i+1:]...)
 			s.Origin = append(s.Origin[:i], s.Origin[i+1:]...)
-			s.Src = append(s.Src[:i], s.Src[i+1:]...)
+			s.Body = append(s.Body[:i], s.Body[i+1:]...)
 		case 1: // duplicate cell i after itself
-			s.Cells = append(s.Cells[:i+1], s.Cells[i:]...)
+			s.Hdr = append(s.Hdr[:i+1], s.Hdr[i:]...)
 			s.Origin = append(s.Origin[:i+1], s.Origin[i:]...)
-			s.Src = append(s.Src[:i+1], s.Src[i:]...)
+			s.Body = append(s.Body[:i+1], s.Body[i:]...)
 		case 2: // flip one bit of cell i
-			s.Cells[i].Payload[j%atm.PayloadSize] ^= 1 << (c.ops[o+2] % 8)
-		case 3: // swap the payloads of cells i and j, tags staying put
-			s.Cells[i].Payload, s.Cells[j].Payload = s.Cells[j].Payload, s.Cells[i].Payload
+			s.Mutable(i)[j%atm.PayloadSize] ^= 1 << (c.ops[o+2] % 8)
+		case 3: // swap the payloads of cells i and j, headers staying put
+			s.Body[i], s.Body[j] = s.Body[j], s.Body[i]
 		case 4: // misinsert cell j's payload at cell i
-			s.Cells[i].Payload = s.Cells[j].Payload
-		case 5: // stale source tag
-			s.Src[i] = s.Src[j]
+			s.Body[i] = s.Body[j]
+		case 5: // stale source tag: cell i's arena copy names cell j's source
+			src := s.Body[j]
+			if src < 0 {
+				src = s.arenaSrc[^src]
+			}
+			s.Mutable(i)
+			s.arenaSrc[^s.Body[i]] = src
 		case 6: // move whole cells, tags and end-of-packet marks included
-			s.Cells[i], s.Cells[j] = s.Cells[j], s.Cells[i]
+			s.Hdr[i], s.Hdr[j] = s.Hdr[j], s.Hdr[i]
 			s.Origin[i], s.Origin[j] = s.Origin[j], s.Origin[i]
-			s.Src[i], s.Src[j] = s.Src[j], s.Src[i]
+			s.Body[i], s.Body[j] = s.Body[j], s.Body[i]
 		}
 	}
 }
@@ -245,6 +251,11 @@ func FuzzComposedScoreMatchesDirect(f *testing.F) {
 	f.Add(varied(700), []byte{0, 3, 0, 3, 1, 2, 2, 5, 9}, false)
 	f.Add(zeroHeavy(1200), []byte{5, 1, 9, 6, 2, 7, 4, 8, 1, 1, 3, 3}, true)
 	f.Add([]byte("x"), []byte{1, 0, 0}, false)
+	// Cells 1 and 2 of the first packet are both all zero: swapping their
+	// bodies leaves the candidate intact, which only the canon ids show.
+	f.Add(make([]byte, 600), []byte{3, 1, 2}, false)
+	// The same bit flipped twice: an arena cell equal to its source.
+	f.Add(varied(600), []byte{2, 1, 5, 2, 1, 5}, false)
 	f.Fuzz(func(t *testing.T, data, ops []byte, compress bool) {
 		if len(data) > 2048 {
 			data = data[:2048]

@@ -16,8 +16,9 @@ import (
 // corpus-shaped P_ud instead of the uniform assumption.
 //
 // Classification is a pure function of (received, sent) — no RNG, no
-// allocation — so the engine's worker-count byte-identity and
-// zero-steady-state-allocation contracts are untouched.
+// allocation, and a scan of only the cells a channel changed — so the
+// engine's worker-count byte-identity and zero-steady-state-allocation
+// contracts are untouched.
 type ErrClassTally struct {
 	// LenChange counts deliveries whose byte length differs from the
 	// sent PDU — splices and concatenations, where bit-position algebra
@@ -37,35 +38,40 @@ type ErrClassTally struct {
 	Multi uint64
 }
 
-// note classifies one corrupted delivery.  recv and sent are the
-// received candidate and the claimed sent PDU; callers only invoke it
-// when the two differ.
-func (e *ErrClassTally) note(recv, sent []byte) {
-	if len(recv) != len(sent) {
-		e.LenChange++
-		return
-	}
-	first, last := -1, -1
-	weight := 0
+// bitDiff accumulates the XOR difference between a received candidate
+// and the equal-length sent PDU it claims, over the spans where they
+// may differ: the first and last differing bit, counted from the PDU's
+// first bit, and the Hamming weight.
+type bitDiff struct{ first, last, weight int }
+
+// add takes in the span of recv and sent starting at byte off of the
+// PDU.  Spans must come in ascending order of off.
+func (d *bitDiff) add(off int, recv, sent []byte) {
 	for i := range recv {
-		d := recv[i] ^ sent[i]
-		if d == 0 {
+		x := recv[i] ^ sent[i]
+		if x == 0 {
 			continue
 		}
-		if first < 0 {
-			first = i*8 + bits.LeadingZeros8(d)
+		if d.weight == 0 {
+			d.first = (off+i)*8 + bits.LeadingZeros8(x)
 		}
-		last = i*8 + 7 - bits.TrailingZeros8(d)
-		weight += bits.OnesCount8(d)
+		d.last = (off+i)*8 + 7 - bits.TrailingZeros8(x)
+		d.weight += bits.OnesCount8(x)
 	}
+}
+
+// note classifies one corrupted equal-length delivery by its
+// difference from the sent PDU; callers only invoke it when the two
+// differ, and count a length change as LenChange.
+func (e *ErrClassTally) note(d bitDiff) {
 	switch {
-	case weight == 1:
+	case d.weight == 1:
 		e.Weight1++
-	case weight == 2:
+	case d.weight == 2:
 		e.Weight2++
-	case weight == 3:
+	case d.weight == 3:
 		e.Weight3++
-	case last-first+1 <= 64:
+	case d.last-d.first+1 <= 64:
 		e.Burst++
 	default:
 		e.Multi++

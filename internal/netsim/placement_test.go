@@ -124,20 +124,15 @@ type headSplice struct{}
 func (headSplice) Name() string { return "headsplice" }
 
 func (headSplice) Transmit(_ *rand.Rand, s *Stream) {
-	out := s.Cells[:0]
-	oout := s.Origin[:0]
-	sout := s.Src[:0]
-	for i := range s.Cells {
-		eop := s.Cells[i].Header.EndOfPacket()
+	n := 0
+	for i := range s.Len() {
+		eop := s.EndOfPacket(i)
 		if (s.Origin[i] == 0 && !eop) || (s.Origin[i] == 1 && eop) {
-			out = append(out, s.Cells[i])
-			oout = append(oout, s.Origin[i])
-			sout = append(sout, s.Src[i])
+			s.Hdr[n], s.Origin[n], s.Body[n] = s.Hdr[i], s.Origin[i], s.Body[i]
+			n++
 		}
 	}
-	s.Cells = out
-	s.Origin = oout
-	s.Src = sout
+	s.Hdr, s.Origin, s.Body = s.Hdr[:n], s.Origin[:n], s.Body[:n]
 }
 
 // TestNetsimHeadSplicePlacement reproduces the paper's Table 9 claim by
@@ -204,11 +199,11 @@ type padFlip struct{}
 func (padFlip) Name() string { return "padflip" }
 
 func (padFlip) Transmit(_ *rand.Rand, s *Stream) {
-	for i := range s.Cells {
-		if s.Cells[i].Header.EndOfPacket() {
+	for i := range s.Len() {
+		if s.EndOfPacket(i) {
 			// For a 296-byte packet in 7 cells the trailer cell holds
 			// segment bytes 0–7, padding 8–39, AAL5 trailer 40–47.
-			s.Cells[i].Payload[16] ^= 0xFF
+			s.Mutable(i)[16] ^= 0xFF
 		}
 	}
 }

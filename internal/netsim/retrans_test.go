@@ -13,9 +13,7 @@ type deadChannel struct{}
 
 func (deadChannel) Name() string { return "dead" }
 func (deadChannel) Transmit(_ *rand.Rand, s *Stream) {
-	s.Cells = s.Cells[:0]
-	s.Origin = s.Origin[:0]
-	s.Src = s.Src[:0]
+	s.Hdr, s.Origin, s.Body = s.Hdr[:0], s.Origin[:0], s.Body[:0]
 }
 
 // TestRetransWorkersDeterministic extends the byte-identity oracle over
