@@ -237,3 +237,22 @@ func TestStrideRejectsOddBlocks(t *testing.T) {
 		}
 	}
 }
+
+// TestStridePatchLength: a block longer than crc.MaxDeltaLen still
+// strides for every algorithm, and only a CRC's Patch refuses it.
+func TestStridePatchLength(t *testing.T) {
+	n := crc.MaxDeltaLen + 2
+	block := make([]byte, n)
+	for _, a := range All() {
+		s := a.Stride(n)
+		_, isCRC := s.(crcStride)
+		func() {
+			defer func() {
+				if panicked := recover() != nil; panicked != isCRC {
+					t.Errorf("%s: Patch at stride %d panicked=%v, want %v", a.Name(), n, panicked, isCRC)
+				}
+			}()
+			s.Patch(s.Partial(block), nil, block)
+		}()
+	}
+}

@@ -170,3 +170,23 @@ func TestMisinsertIsRecordCopy(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordModelsCheckUnit: CorruptRecords runs over records of its
+// model's Unit bytes and refuses any other size, as CorruptInPlace
+// refuses a Unit below 1.
+func TestRecordModelsCheckUnit(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 15))
+	recs := byteRecords{testData(16 * 8), 16}
+	for _, unit := range []int{16, 32, 0} {
+		for _, m := range []RecordModel{Reorder{Unit: unit}, Misinsert{Unit: unit}} {
+			func() {
+				defer func() {
+					if panicked := recover() != nil; panicked != (unit != 16) {
+						t.Errorf("%s unit %d over 16-byte records: panicked=%v", m.Name(), unit, panicked)
+					}
+				}()
+				m.CorruptRecords(rng, recs)
+			}()
+		}
+	}
+}
