@@ -13,8 +13,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -25,26 +27,47 @@ import (
 )
 
 func main() {
-	profile := flag.String("profile", "", "synthetic site profile name (see -profiles)")
-	dir := flag.String("dir", "", "scan a real directory instead of a profile")
-	alg := flag.String("alg", "tcp", "checksum algorithm: tcp, f255, f256")
-	placement := flag.String("placement", "header", "checksum placement: header, trailer")
-	compress := flag.Bool("compress", false, "LZW-compress every file first (Table 7)")
-	nocrc := flag.Bool("nocrc", false, "skip the AAL5 CRC check (faster)")
-	noinvert := flag.Bool("noinvert", false, "store the raw sum instead of its complement (§6.3)")
-	zeroip := flag.Bool("zeroip", false, "reproduce the §6.2 zeroed-IP-header artifact")
-	segment := flag.Int("segment", sim.DefaultSegmentSize, "TCP payload bytes per packet")
-	scale := flag.Float64("scale", 1.0, "profile scale factor")
-	workers := flag.Int("workers", 0, "parallel workers (default GOMAXPROCS)")
-	worst := flag.Int("worst", 0, "report the N files with the most checksum misses (§5.5)")
-	listProfiles := flag.Bool("profiles", false, "list known profiles and exit")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the whole command: it parses args, runs the simulation under
+// ctx and prints the table, returning the exit status — 0 on success,
+// 1 if the simulation fails, 2 on a usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("splicesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	profile := fs.String("profile", "", "synthetic site profile name (see -profiles)")
+	dir := fs.String("dir", "", "scan a real directory instead of a profile")
+	alg := fs.String("alg", "tcp", "checksum algorithm: tcp, f255, f256")
+	placement := fs.String("placement", "header", "checksum placement: header, trailer")
+	compress := fs.Bool("compress", false, "LZW-compress every file first (Table 7)")
+	nocrc := fs.Bool("nocrc", false, "skip the AAL5 CRC check (faster)")
+	noinvert := fs.Bool("noinvert", false, "store the raw sum instead of its complement (§6.3)")
+	zeroip := fs.Bool("zeroip", false, "reproduce the §6.2 zeroed-IP-header artifact")
+	segment := fs.Int("segment", sim.DefaultSegmentSize, "TCP payload bytes per packet")
+	scale := fs.Float64("scale", 1.0, "profile scale factor")
+	workers := fs.Int("workers", 0, "parallel workers (default GOMAXPROCS)")
+	worst := fs.Int("worst", 0, "report the N files with the most checksum misses (§5.5)")
+	listProfiles := fs.Bool("profiles", false, "list known profiles and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "splicesim: "+format+"\n", args...)
+		return 2
+	}
 
 	if *listProfiles {
 		for _, p := range corpus.AllProfiles() {
-			fmt.Println(p.Name)
+			fmt.Fprintln(stdout, p.Name)
 		}
-		return
+		return 0
 	}
 
 	opt := sim.Options{
@@ -56,7 +79,7 @@ func main() {
 	}
 	builderAlg, ok := tcpip.AlgByName(*alg)
 	if !ok {
-		fatal("unknown -alg %q", *alg)
+		return usage("unknown -alg %q", *alg)
 	}
 	opt.Build.Alg = builderAlg
 	switch *placement {
@@ -64,7 +87,7 @@ func main() {
 	case "trailer":
 		opt.Build.Placement = tcpip.PlacementTrailer
 	default:
-		fatal("unknown -placement %q", *placement)
+		return usage("unknown -placement %q", *placement)
 	}
 	opt.Build.NoInvert = *noinvert
 	opt.Build.ZeroIPHeader = *zeroip
@@ -77,32 +100,27 @@ func main() {
 	case *profile != "":
 		p, ok := corpus.ByName(*profile)
 		if !ok {
-			fatal("unknown profile %q (try -profiles)", *profile)
+			return usage("unknown profile %q (try -profiles)", *profile)
 		}
 		w, name = p.Scale(*scale).Build(), p.Name
 	default:
-		fatal("one of -profile or -dir is required")
+		return usage("one of -profile or -dir is required")
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	res, err := sim.Run(ctx, w, name, opt)
 	if err != nil {
-		fatal("simulation failed: %v", err)
+		fmt.Fprintf(stderr, "splicesim: simulation failed: %v\n", err)
+		return 1
 	}
-	fmt.Print(report.SpliceTable([]sim.Result{res}, opt.Build.Alg.String()))
-	fmt.Printf("\n(%d files, %s packets, %s bytes, checksum=%v placement=%v compress=%v)\n",
+	fmt.Fprint(stdout, report.SpliceTable([]sim.Result{res}, opt.Build.Alg.String()))
+	fmt.Fprintf(stdout, "\n(%d files, %s packets, %s bytes, checksum=%v placement=%v compress=%v)\n",
 		res.Files, report.Count(res.Packets), report.Count(res.Bytes),
 		opt.Build.Alg, opt.Build.Placement, *compress)
 	if len(res.WorstFiles) > 0 {
-		fmt.Printf("\nworst files by checksum misses:\n")
+		fmt.Fprintf(stdout, "\nworst files by checksum misses:\n")
 		for _, f := range res.WorstFiles {
-			fmt.Printf("  %8d missed / %8d remaining  %s\n", f.Missed, f.Remaining, f.Path)
+			fmt.Fprintf(stdout, "  %8d missed / %8d remaining  %s\n", f.Missed, f.Remaining, f.Path)
 		}
 	}
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "splicesim: "+format+"\n", args...)
-	os.Exit(2)
+	return 0
 }

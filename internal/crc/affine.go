@@ -31,8 +31,9 @@ var zeroBytes [512]byte
 // RawShift advances a raw register over n zero input bytes — the
 // multiply-by-x^(8n) primitive of the affine decomposition.  It is
 // RawUpdate(reg, make([]byte, n)) without materializing the zeros, in
-// O(n) table steps; its callers shift by at most a few packets' worth
-// of bytes, or build a Shift once for a fixed n.
+// O(n) table steps.  Its only caller is NewShift, which runs it once
+// per register bit to build a fixed-n operator; everything that shifts
+// per block or per slot applies that operator instead.
 func (t *Table) RawShift(reg uint64, n int) uint64 {
 	if n < 0 {
 		panic("crc: RawShift with negative length")
@@ -130,8 +131,9 @@ func (t *Table) RawFromCRC(crc uint64) uint64 { return t.unfinalizeReg(crc) }
 
 // SlotContribs fills dst[s], for each of the len(dst) slots, with the
 // raw-register contribution of data when its bytes occupy slot s of a
-// larger message.  Slot s starts at byte offset s·stride and is
-// followed by (len(dst)−1−s)·stride + tail further message bytes.
+// larger message.  Slot s is followed by len(dst)−1−s further slots of
+// stride's length and then by tail's length of message bytes: stride
+// and tail are the shift operators past one slot and past the tail.
 //
 // With I the initial raw register and cell_s the bytes chosen for slot
 // s, the register after the whole message is
@@ -139,18 +141,16 @@ func (t *Table) RawFromCRC(crc uint64) uint64 { return t.unfinalizeReg(crc) }
 //	RawShift(I, totalLen) ⊕ Σ_s contrib(cell_s, s)
 //
 // so an enumeration over slot assignments pays one XOR per slot instead
-// of one table pass per byte.
-func (t *Table) SlotContribs(dst []uint64, data []byte, stride, tail int) {
+// of one table pass per byte.  Filling the row costs one table pass
+// over data and then one Shift.Apply, ⌈w/8⌉ lookups, per slot.
+func (t *Table) SlotContribs(dst []uint64, data []byte, stride, tail *Shift) {
 	if len(dst) == 0 {
 		return
 	}
-	if stride < 0 || tail < 0 {
-		panic("crc: SlotContribs with negative geometry")
-	}
-	c := t.RawShift(t.updateSlicing(0, data), tail)
+	c := tail.Apply(t.updateSlicing(0, data))
 	dst[len(dst)-1] = c
 	for s := len(dst) - 2; s >= 0; s-- {
-		c = t.RawShift(c, stride)
+		c = stride.Apply(c)
 		dst[s] = c
 	}
 }

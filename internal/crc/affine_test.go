@@ -77,9 +77,10 @@ func TestSlotContribsDecomposition(t *testing.T) {
 			}
 			acc := base
 			contrib := make([]uint64, g.slots)
+			stride, tail := tab.NewShift(g.stride), tab.NewShift(g.tail)
 			for s := 0; s < g.slots; s++ {
 				cell := msg[s*g.stride : s*g.stride+g.stride]
-				tab.SlotContribs(contrib, cell, g.stride, g.tail+(0)*g.stride)
+				tab.SlotContribs(contrib, cell, stride, tail)
 				// SlotContribs fills every slot's contribution for this
 				// cell; pick the one where the cell actually sits.
 				acc ^= contrib[s]
@@ -103,7 +104,7 @@ func TestSlotContribsAgainstScalar(t *testing.T) {
 	cell := []byte("forty-eight bytes of cell payload, more or less!")[:48]
 	const slots, stride, tail = 6, 48, 44
 	var got [slots]uint64
-	tab.SlotContribs(got[:], cell, stride, tail)
+	tab.SlotContribs(got[:], cell, tab.NewShift(stride), tab.NewShift(tail))
 	for s := 0; s < slots; s++ {
 		after := (slots-1-s)*stride + tail
 		want := tab.updateScalar(tab.updateScalar(0, cell), make([]byte, after))
@@ -120,9 +121,10 @@ func BenchmarkSlotContribs(b *testing.B) {
 		cell[i] = byte(i * 7)
 	}
 	var dst [6]uint64
+	stride, tail := tab.NewShift(48), tab.NewShift(44)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tab.SlotContribs(dst[:], cell, 48, 44)
+		tab.SlotContribs(dst[:], cell, stride, tail)
 	}
 }
 

@@ -2,10 +2,12 @@ package splice
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
 	"realsum/internal/atm"
+	"realsum/internal/fletcher"
 	"realsum/internal/tcpip"
 )
 
@@ -70,6 +72,92 @@ func TestDifferentialFullMatrix(t *testing.T) {
 			wantNo := refEnumerate(p1, p2, noCRC)
 			if gotNo != wantNo {
 				t.Errorf("cfg[%d] %+v (no CRC) kind %d:\n got %+v\nwant %+v", ci, cfg.Opts, kind, gotNo, wantNo)
+			}
+		}
+	}
+}
+
+// TestPrecomputeSkipsOnlyUnreachable checks that the per-pair
+// precompute fills every table entry the walk reads.  precomputeCells
+// fills headerOK (and the slot-0 partial sums) only for the pool
+// indices slot 0 can take, and eq1/eq2 only for the slots the walk can
+// give each cell; the rest keep whatever the reused buffers held.  So
+// before each Pair every buffer is poisoned — true for the boolean
+// tables, random words for the sums and CRC contributions — and the
+// Counts must still equal refEnumerate's, over the
+// TestDifferentialFullMatrix geometries and every pair of runt sizes.
+func TestPrecomputeSkipsOnlyUnreachable(t *testing.T) {
+	rng := rand.New(rand.NewPCG(24, 24))
+	e := NewEnumerator()
+	st := &e.st
+	const room = 1 << 12 // past any table these geometries need
+	st.headerOK = make([]bool, 0, room)
+	st.eq1 = make([]bool, 0, room)
+	st.eq2 = make([]bool, 0, room)
+	st.sumHead = make([]uint16, 0, room)
+	st.pairHead = make([]fletcher.Pair, 0, room)
+	st.crcContrib = make([]uint64, 0, room)
+	check := func(p1, p2 []byte, cfg Config, what string) {
+		t.Helper()
+		for _, b := range [][]bool{st.headerOK, st.eq1, st.eq2} {
+			b = b[:cap(b)]
+			for i := range b {
+				b[i] = true
+			}
+		}
+		sums := st.sumHead[:cap(st.sumHead)]
+		for i := range sums {
+			sums[i] = uint16(rng.Uint32())
+		}
+		pairs := st.pairHead[:cap(st.pairHead)]
+		for i := range pairs {
+			pairs[i] = fletcher.Pair{A: uint16(rng.Uint32()), B: uint16(rng.Uint32())}
+		}
+		contrib := st.crcContrib[:cap(st.crcContrib)]
+		for i := range contrib {
+			contrib[i] = rng.Uint64()
+		}
+		got := e.Pair(p1, p2, cfg)
+		for _, c := range []int{cap(st.headerOK), cap(st.eq1), cap(st.eq2), cap(st.sumHead), cap(st.pairHead), cap(st.crcContrib)} {
+			if c != room {
+				t.Fatalf("%s: a table outgrew its poisoned buffer", what)
+			}
+		}
+		if want := refEnumerate(p1, p2, cfg); got != want {
+			t.Errorf("%s %+v:\n got %+v\nwant %+v", what, cfg.Opts, got, want)
+		}
+	}
+	for ci, cfg := range fullMatrixConfigs() {
+		noCRC := cfg
+		noCRC.CheckCRC = false
+		for kind := 0; kind < 5; kind++ {
+			sizes := [2]int{160, 160}
+			switch kind {
+			case 2:
+				sizes = [2]int{7, 150}
+			case 4:
+				sizes = [2]int{97, 53}
+			}
+			flow := tcpip.NewLoopbackFlow(cfg.Opts)
+			p1 := flow.NextPacket(nil, makePayload(rng, sizes[0], kind))
+			p2 := flow.NextPacket(nil, makePayload(rng, sizes[1], kind))
+			what := fmt.Sprintf("cfg[%d] kind %d", ci, kind)
+			check(p1, p2, cfg, what)
+			check(p1, p2, noCRC, what+" (no CRC)")
+		}
+	}
+	runts := []int{1, 2, 5, 7, 8, 9, 10, 11, 48, 52, 53, 54, 55, 96, 100, 101, 149, 150, 151, 152, 153, 199}
+	for _, cfg := range []Config{
+		{Opts: tcpip.BuildOptions{Alg: tcpip.AlgTCP}, CheckCRC: true},
+		{Opts: tcpip.BuildOptions{Alg: tcpip.AlgTCP, Placement: tcpip.PlacementTrailer}, CheckCRC: true},
+		{Opts: tcpip.BuildOptions{Alg: tcpip.AlgFletcher256, Placement: tcpip.PlacementTrailer}, CheckCRC: true},
+	} {
+		for _, n1 := range runts {
+			for _, n2 := range runts {
+				flow := tcpip.NewLoopbackFlow(cfg.Opts)
+				p1 := flow.NextPacket(nil, makePayload(rng, n1, rng.IntN(5)))
+				p2 := flow.NextPacket(nil, makePayload(rng, n2, rng.IntN(5)))
+				check(p1, p2, cfg, fmt.Sprintf("runt n1=%d n2=%d", n1, n2))
 			}
 		}
 	}

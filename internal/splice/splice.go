@@ -36,9 +36,18 @@
 // corpora 50.1% of candidates are caught this way, and the per-pair
 // cost (the splice.pair layer of the benchmark) fell from 58 to 33 µs,
 // 64 to 36 ns per candidate, on a 2-vCPU Intel Xeon with go1.24.
+//
+// The per-pair precompute costs table lookups and memory compares: a
+// cell's CRC-32 slot contributions step from slot to slot through a
+// precomputed 48-byte shift operator, four lookups per slot, and the
+// equality maps are filled by slice compares, only for the slots the
+// walk can give each cell.  That took splice.pair from 25.0 to 19.7 µs
+// per pair (27.4 to 21.6 ns per candidate) on the same machine.
 package splice
 
 import (
+	"bytes"
+
 	"realsum/internal/atm"
 	"realsum/internal/crc"
 	"realsum/internal/fletcher"
@@ -124,7 +133,15 @@ type Config struct {
 	CheckCRC bool
 }
 
-var crc32Table = crc.New(crc.CRC32)
+// crc32Table and its two shift operators are shared by every
+// enumerator: cellShift advances a raw register past one slot (a cell
+// payload), tailShift past the CRC-covered bytes of the pinned trailer
+// cell.  Together they are 16 KiB, built once at init.
+var (
+	crc32Table = crc.New(crc.CRC32)
+	cellShift  = crc32Table.NewShift(atm.PayloadSize)
+	tailShift  = crc32Table.NewShift(crcCoveredTail)
+)
 
 // Enumerator owns the reusable per-pair state of the splice walk.  One
 // enumerator processes any number of pairs sequentially; after the
@@ -177,13 +194,14 @@ type pairState struct {
 
 	// Header validity of each pool cell if it were the splice's first
 	// cell, plus the same for the pinned last cell (the n2 == 1 case).
+	// Only the indices slot 0 can take, i ≤ len(pool)−need, are filled.
 	headerOK     []bool
 	lastHeaderOK bool
 
 	// Incremental transport-checksum precomputation.
 	pseudo   uint16 // pseudo-header sum for an L2-byte packet
 	sum48    []uint16
-	sumHead  []uint16 // cell bytes 20..48 (slot-0 contribution)
+	sumHead  []uint16 // cell bytes 20..48 (slot-0 contribution; filled as headerOK)
 	sumLast  uint16   // last cell's SDU-prefix contribution
 	lastLen  int      // SDU bytes carried by the last cell
 	fmod     fletcher.Mod
@@ -194,7 +212,8 @@ type pairState struct {
 	// Equality maps for identical-data detection, flattened with stride
 	// n2: eq1[i*n2+s] ⇔ pool cell i placed at slot s matches packet 1's
 	// SDU there (checksum field bytes excluded); likewise eq2 against
-	// packet 2.
+	// packet 2.  Only the slots the walk can give cell i are filled (see
+	// slotRange); the walk reads no other entry.
 	eq1, eq2     []bool
 	lastEq1      bool // pinned last cell vs packet 1's final slot
 	sameLen      bool // l1 == l2, a precondition for identical-to-P1
@@ -273,9 +292,13 @@ func (st *pairState) reset(p1, p2 []byte, cells1, cells2 []atm.Cell, cfg Config)
 		// Fold the init-propagation and pinned-cell terms of the affine
 		// decomposition into the target, so a leaf's CRC test is a bare
 		// comparison of the branch accumulator against crcWant.
-		totalLen := st.crcSlots*atm.PayloadSize + crcCoveredTail
-		base := crc32Table.RawShift(crc32Table.RawInit(), totalLen) ^
-			crc32Table.RawUpdate(0, st.lastCell[:crcCoveredTail])
+		// The init term is RawInit shifted past crcSlots cells and the
+		// covered tail.
+		reg := tailShift.Apply(crc32Table.RawInit())
+		for range st.crcSlots {
+			reg = cellShift.Apply(reg)
+		}
+		base := reg ^ crc32Table.RawUpdate(0, st.lastCell[:crcCoveredTail])
 		st.crcWant = crc32Table.RawFromCRC(uint64(tr.CRC)) ^ base
 	}
 
@@ -313,18 +336,25 @@ func (st *pairState) precomputeCells() {
 	}
 
 	for i, cell := range st.pool {
-		st.headerOK[i] = st.headerValid(cell)
+		lo, hi := st.slotRange(i)
+		if lo == 0 {
+			st.headerOK[i] = st.headerValid(cell)
+			st.sumHead[i] = inet.Sum(cell[tcpip.IPv4HeaderLen:])
+			if st.fmod != 0 {
+				st.pairHead[i] = st.fmod.Sum(cell[tcpip.IPv4HeaderLen:])
+			}
+		}
 		st.sum48[i] = inet.Sum(cell)
-		st.sumHead[i] = inet.Sum(cell[tcpip.IPv4HeaderLen:])
 		if st.fmod != 0 {
 			st.pair48[i] = st.fmod.Sum(cell)
-			st.pairHead[i] = st.fmod.Sum(cell[tcpip.IPv4HeaderLen:])
 		}
-		st.eqSlots(st.eq1[i*st.n2:(i+1)*st.n2], st.p1sdu, cell)
-		st.eqSlots(st.eq2[i*st.n2:(i+1)*st.n2], st.p2sdu, cell)
+		for s := lo; s <= hi; s++ {
+			st.eq1[i*st.n2+s] = st.eqAt(st.p1sdu, cell, s)
+			st.eq2[i*st.n2+s] = st.eqAt(st.p2sdu, cell, s)
+		}
 		if st.cfg.CheckCRC && st.crcSlots > 0 {
 			crc32Table.SlotContribs(st.crcContrib[i*st.crcSlots:(i+1)*st.crcSlots],
-				cell, atm.PayloadSize, crcCoveredTail)
+				cell, cellShift, tailShift)
 		}
 	}
 	st.lastHeaderOK = st.headerValid(st.lastCell)
@@ -334,6 +364,15 @@ func (st *pairState) precomputeCells() {
 	}
 	// Pinned last cell vs packet 1's final slot.
 	st.lastEq1 = st.sameLen && st.eqAt(st.p1sdu, st.lastCell, st.n2-1)
+}
+
+// slotRange returns the slots lo … hi the walk can give pool cell i:
+// the selection is strictly increasing, so slot s holds one of the pool
+// indices s … s+len(pool)−need.  lo > hi when the cell can hold no slot
+// (need = 0); otherwise lo == 0 exactly when the cell can head a splice.
+func (st *pairState) slotRange(i int) (lo, hi int) {
+	need := st.n2 - 1
+	return max(0, i-(len(st.pool)-need)), min(i, need-1)
 }
 
 // headerValid reports whether cell, as the splice's first cell, yields
@@ -356,37 +395,25 @@ func (st *pairState) headerValid(cell []byte) bool {
 	return tcpip.ValidateTCP(cell[tcpip.IPv4HeaderLen:tcpip.HeadersLen]) == nil
 }
 
-// eqSlots fills dst (length n2) with, for every slot s, whether cell
-// matches orig's SDU bytes at slot s (checksum-field bytes excluded).
-func (st *pairState) eqSlots(dst []bool, orig []byte, cell []byte) {
-	for s := range dst {
-		dst[s] = st.eqAt(orig, cell, s)
-	}
-}
-
 // eqAt compares cell against orig's SDU at slot s, restricted to SDU
 // bytes (offsets < l2 for P2-shaped splices; orig may be shorter) and
-// excluding the checksum field at fieldOff.
+// excluding the checksum field at fieldOff.  Past the end of both SDUs
+// the slot holds padding and trailer, which never count; a slot where
+// one SDU ends and the other does not never matches.
 func (st *pairState) eqAt(orig []byte, cell []byte, s int) bool {
 	base := s * atm.PayloadSize
-	for j := 0; j < atm.PayloadSize; j++ {
-		off := base + j
-		inOrig := off < len(orig)
-		inSplice := off < st.l2
-		if inOrig != inSplice {
-			return false
-		}
-		if !inSplice {
-			return true // past both SDUs: padding/trailer, irrelevant
-		}
-		if off == st.fieldOff || off == st.fieldOff+1 {
-			continue
-		}
-		if orig[off] != cell[j] {
-			return false
-		}
+	end := min(max(len(orig)-base, 0), atm.PayloadSize)
+	if min(max(st.l2-base, 0), atm.PayloadSize) != end {
+		return false
 	}
-	return true
+	if end == 0 {
+		return true
+	}
+	// The field's bytes within the slot are [a, b), clamped to [0, end].
+	a := min(max(st.fieldOff-base, 0), end)
+	b := min(max(st.fieldOff+2-base, 0), end)
+	o := orig[base:]
+	return bytes.Equal(o[:a], cell[:a]) && bytes.Equal(o[b:end], cell[b:end])
 }
 
 // branch is the walk state after a prefix of the selection is chosen.

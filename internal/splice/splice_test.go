@@ -135,6 +135,31 @@ func classify(counts *Counts, sel []int, pool [][]byte, m1 int, last, p1, p2 []b
 	}
 }
 
+// refEqAt is the byte loop eqAt replaced: cell against orig's SDU at
+// slot s, byte by byte, over offsets below the splice's SDU length l2,
+// skipping the two checksum-field bytes at fieldOff.
+func refEqAt(orig, cell []byte, s, l2, fieldOff int) bool {
+	base := s * atm.PayloadSize
+	for j := 0; j < atm.PayloadSize; j++ {
+		off := base + j
+		inOrig := off < len(orig)
+		inSplice := off < l2
+		if inOrig != inSplice {
+			return false
+		}
+		if !inSplice {
+			return true // past both SDUs: padding/trailer, irrelevant
+		}
+		if off == fieldOff || off == fieldOff+1 {
+			continue
+		}
+		if orig[off] != cell[j] {
+			return false
+		}
+	}
+	return true
+}
+
 // ---------------------------------------------------------------------
 
 // payloadKinds produce adversarial payload structure: zero-heavy and

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # CI gate: vet, build, full test suite, bounded splice-enumerator,
-# PMF-convolution, composed-scoring, Stride composition-law, Stride
-# delta-law, -dir tree, CRC slicing-vs-scalar and census order/A3 fuzz
-# runs, the race detector over the concurrent packages, the
-# workers-determinism guarantees, the CRC engine against its scalar
-# oracle and composed netsim scoring, the census pins, the bench/
-# harness tests, and a one-iteration smoke of the per-algorithm
-# checksum benchmark.
+# splice equality-map (eqAt against its byte loop), PMF-convolution,
+# composed-scoring, Stride composition-law, Stride delta-law, -dir
+# tree, CRC slicing-vs-scalar and census order/A3 fuzz runs, the race
+# detector over the concurrent packages, the workers-determinism
+# guarantees, the CRC engine against its scalar oracle and composed
+# netsim scoring, the census pins, the bench/ harness tests, a
+# one-iteration smoke of the per-algorithm checksum benchmark, and the
+# full-scale paper reproduction diffed against paper_output.txt.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +33,12 @@ echo "== splice enumerator fuzz (15 s of new inputs) =="
 # walk, whose counting mode skips header-caught subtrees, and checks
 # every pair against the materializing brute force.
 go test -run '^$' -fuzz FuzzEnumerateMatchesBruteForce -fuzztime 15s ./internal/splice/
+
+echo "== splice equality-map fuzz (10 s of new inputs) =="
+# eqAt's slice compares against the byte loop they replaced (refEqAt):
+# SDU ends and the checksum field at fuzzed offsets around the slot,
+# slots past both SDUs included.
+go test -run '^$' -fuzz FuzzEqAtMatchesByteLoop -fuzztime 10s ./internal/splice/
 
 echo "== PMF convolution fuzz (10 s of new inputs) =="
 # The blocked convolution kernel against the textbook loop over q's
@@ -261,5 +268,12 @@ echo "== census analytic lane fuzz (10 s each: order of x, A3 vs their scans) ==
 # against the O(n^2) pair walk up to 512 bits, x^s*h generators included.
 go test -run '^$' -fuzz FuzzXOrderMatchesScan -fuzztime 10s ./internal/gf2poly/
 go test -run '^$' -fuzz FuzzWeight3MatchesPairWalk -fuzztime 10s ./internal/gf2poly/
+
+echo "== full-scale reproduction vs paper_output.txt =="
+# Every table, figure and NetSim section of the paper run at full
+# scale (about 25 s wall on 2 CPUs).  Timing lines go to stderr, so
+# stdout is deterministic and must equal the committed output.
+go run ./cmd/paper -scale 1.0 -workers 2 > "$tmp/paper.full"
+diff paper_output.txt "$tmp/paper.full" || { echo "paper -scale 1.0 output differs from paper_output.txt"; exit 1; }
 
 echo "CI OK"
