@@ -18,11 +18,10 @@ import (
 
 	"realsum/internal/corpus"
 	"realsum/internal/crc"
-	"realsum/internal/errmodel"
 	"realsum/internal/experiments"
 	"realsum/internal/inet"
+	"realsum/internal/sim"
 	"realsum/internal/splice"
-	"realsum/internal/stats"
 	"realsum/internal/tcpip"
 )
 
@@ -31,6 +30,17 @@ var benchScale = experiments.Config{Scale: 0.05}
 
 // distScale gives the distribution experiments enough blocks.
 var distScale = experiments.Config{Scale: 0.25}
+
+// resultOf returns the result for one registry name in an experiment
+// row's per-algorithm results.
+func resultOf(rs []experiments.AlgResult, name string) sim.Result {
+	for _, e := range rs {
+		if e.Algo == name {
+			return e.Res
+		}
+	}
+	panic(fmt.Sprintf("no result for algorithm %q", name))
+}
 
 // checksumMissRate is the transport-checksum miss rate as a metric
 // value; a run with no remaining splices reports 0.
@@ -135,10 +145,10 @@ func BenchmarkTable8_Fletcher(b *testing.B) {
 		rows := experiments.Table8(benchScale)
 		var tcp, f255, f256, rem uint64
 		for _, r := range rows {
-			tcp += r.Get("tcp").MissedByChecksum
-			f255 += r.Get("f255").MissedByChecksum
-			f256 += r.Get("f256").MissedByChecksum
-			rem += r.Get("tcp").Remaining
+			tcp += resultOf(r.Results, "tcp").MissedByChecksum
+			f255 += resultOf(r.Results, "f255").MissedByChecksum
+			f256 += resultOf(r.Results, "f256").MissedByChecksum
+			rem += resultOf(r.Results, "tcp").Remaining
 		}
 		b.ReportMetric(float64(tcp)/float64(rem), "tcp-miss-rate")
 		b.ReportMetric(float64(f255)/float64(rem), "f255-miss-rate")
@@ -227,7 +237,7 @@ func benchPathological(b *testing.B, which string) {
 			if !strings.Contains(r.Corpus, which) {
 				continue
 			}
-			tcp, f255, f256 := r.Get("tcp"), r.Get("f255"), r.Get("f256")
+			tcp, f255, f256 := resultOf(r.Results, "tcp"), resultOf(r.Results, "f255"), resultOf(r.Results, "f256")
 			b.ReportMetric(checksumMissRate(tcp.Counts), "tcp-miss-rate")
 			b.ReportMetric(checksumMissRate(f255.Counts), "f255-miss-rate")
 			b.ReportMetric(checksumMissRate(f256.Counts), "f256-miss-rate")
@@ -313,35 +323,6 @@ func BenchmarkExtension_AdlerComparison(b *testing.B) {
 				b.ReportMetric(r.Collision, "crc32-collision")
 			}
 		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// Error-model benches: the classical guarantees under §7's alternative
-// models.
-
-func BenchmarkErrorModelBursts(b *testing.B) {
-	data := make([]byte, 1500)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	for i := 0; i < b.N; i++ {
-		missedTCP := errmodel.Measure(errmodel.TCPCheck(), errmodel.Burst{Bits: 15}, data, 2000, 1)
-		missedCRC := errmodel.Measure(errmodel.CRCCheck(crc.CRC32), errmodel.Burst{Bits: 32}, data, 2000, 2)
-		b.ReportMetric(float64(missedTCP), "tcp-15bit-burst-misses")
-		b.ReportMetric(float64(missedCRC), "crc32-32bit-burst-misses")
-	}
-}
-
-func BenchmarkErrorModelGarbage(b *testing.B) {
-	data := make([]byte, 1500)
-	for i := range data {
-		data[i] = byte(i * 37)
-	}
-	for i := 0; i < b.N; i++ {
-		missed := errmodel.Measure(errmodel.CRCCheck(crc.CRC10), errmodel.Garbage{Bytes: 64}, data, 50_000, 3)
-		b.ReportMetric(float64(missed)/50_000, "crc10-garbage-miss-rate")
-		b.ReportMetric(stats.UniformMissRate(10), "crc10-expected")
 	}
 }
 

@@ -63,7 +63,7 @@ import (
 
 func main() {
 	scenFile := flag.String("scenario", "", "load a scenario profile (JSON); explicit flags override its fields")
-	profile := flag.String("profile", "smeg.stanford.edu:/u1", "synthetic corpus profile (see cmd/corpus -list for names)")
+	profile := flag.String("profile", "smeg.stanford.edu:/u1", "synthetic corpus profile (mkcorpus -profiles lists the names)")
 	scale := flag.Float64("scale", 1.0, "corpus scale factor")
 	dir := flag.String("dir", "", "score a real directory tree instead of a synthetic profile")
 	mode := flag.String("mode", "tcp", "transport encoding: tcp (one packet per PDU) or udpfrag (UDP datagrams + IP fragmentation)")

@@ -171,7 +171,10 @@ func BenchmarkSum(b *testing.B) {
 func TestStrideMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 6))
 	algs := All()
-	for _, p := range crc.Catalog() {
+	for _, p := range []crc.Params{
+		crc.CRC32, crc.CRC32C, crc.CRC10, crc.CRC16, crc.CRC16CCITT, crc.CRC16XMODEM, crc.CRC8HEC, crc.CRC8, crc.CRC64,
+		crc.CRC24A, crc.CRC24B, crc.CRC24C, crc.CRC11NR, crc.CRC6NR, crc.CRC32K, crc.CRC32K2,
+	} {
 		algs = append(algs, NewCRC(p, p.Name))
 	}
 	fill := map[string]func([]byte){

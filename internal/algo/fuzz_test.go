@@ -28,7 +28,7 @@ func FuzzStrideMatchesSum(f *testing.F) {
 		w := 1 + wsel%64
 		blocks := data[:len(data)/n*n]
 		msg := append(append([]byte{}, blocks...), tail...)
-		algs := append(All(), NewCRC(crc.MakeParams(w, poly), "crc-fuzz"))
+		algs := append(All(), NewCRC(crc.Params{Width: w, Poly: poly}, "crc-fuzz"))
 		parts := make([]uint64, len(blocks)/n)
 		for _, a := range algs {
 			s := a.Stride(n)
@@ -76,7 +76,7 @@ func FuzzStrideDeltaMatchesPartial(f *testing.F) {
 		}
 		algs := All()
 		for w := uint8(1); w <= 64; w++ {
-			algs = append(algs, NewCRC(crc.MakeParams(w, poly), "crc-fuzz"))
+			algs = append(algs, NewCRC(crc.Params{Width: w, Poly: poly}, "crc-fuzz"))
 		}
 		diff := crc.AppendNibbles(nil, block, damaged)
 		for _, a := range algs {

@@ -15,17 +15,12 @@ package atm
 
 import (
 	"errors"
-	"fmt"
 
 	"realsum/internal/crc"
 )
 
-// Cell geometry.
-const (
-	CellSize    = 53 // header + payload on the wire
-	HeaderSize  = 5
-	PayloadSize = 48
-)
+// PayloadSize is the number of payload bytes in one cell.
+const PayloadSize = 48
 
 // TrailerSize is the length of the AAL5 CPCS trailer.
 const TrailerSize = 8
@@ -35,27 +30,21 @@ const MaxSDU = 65535
 
 // Errors reported by reassembly and splice validation.
 var (
-	ErrNoCells      = errors.New("atm: no cells")
-	ErrNotLast      = errors.New("atm: final cell is not marked end-of-packet")
-	ErrEarlyLast    = errors.New("atm: interior cell is marked end-of-packet")
-	ErrBadLength    = errors.New("atm: trailer length inconsistent with cell count")
-	ErrBadCRC       = errors.New("atm: CPCS CRC-32 mismatch")
-	ErrTooLong      = errors.New("atm: SDU longer than 65535 bytes")
-	ErrBadHEC       = errors.New("atm: header error control mismatch")
-	ErrShortHeader  = errors.New("atm: truncated cell header")
-	ErrShortPayload = errors.New("atm: truncated cell payload")
+	ErrNoCells   = errors.New("atm: no cells")
+	ErrNotLast   = errors.New("atm: final cell is not marked end-of-packet")
+	ErrEarlyLast = errors.New("atm: interior cell is marked end-of-packet")
+	ErrBadLength = errors.New("atm: trailer length inconsistent with cell count")
+	ErrBadCRC    = errors.New("atm: CPCS CRC-32 mismatch")
+	ErrTooLong   = errors.New("atm: SDU longer than 65535 bytes")
 )
 
 // aal5CRC is the CRC-32 engine the AAL5 trailer uses.
 var aal5CRC = crc.New(crc.CRC32)
 
-// hec is the CRC-8 HEC engine (poly x^8+x^2+x+1 with the 0x55 coset).
-var hec = crc.New(crc.CRC8HEC)
-
-// Header is the 5-byte ATM cell header at the UNI: a 4-bit generic flow
-// control field, 8-bit VPI, 16-bit VCI, 3-bit payload type indicator,
-// the cell-loss-priority bit, and the HEC octet computed over the first
-// four bytes.
+// Header holds the fields of the 5-byte ATM cell header at the UNI: a
+// 4-bit generic flow control field, 8-bit VPI, 16-bit VCI, 3-bit payload
+// type indicator and the cell-loss-priority bit.  Cells never travel as
+// bytes here, so the HEC octet over the first four bytes is not kept.
 type Header struct {
 	GFC uint8  // 4 bits
 	VPI uint8  // 8 bits at the UNI
@@ -68,67 +57,10 @@ type Header struct {
 // AAL5 CPCS-PDU.
 func (h Header) EndOfPacket() bool { return h.PTI&1 == 1 }
 
-// SerializeTo writes the header, computing the HEC octet, into b.
-func (h Header) SerializeTo(b []byte) error {
-	if len(b) < HeaderSize {
-		return ErrShortHeader
-	}
-	b[0] = h.GFC<<4 | h.VPI>>4
-	b[1] = h.VPI<<4 | byte(h.VCI>>12)
-	b[2] = byte(h.VCI >> 4)
-	b[3] = byte(h.VCI) << 4
-	b[3] |= (h.PTI & 7) << 1
-	if h.CLP {
-		b[3] |= 1
-	}
-	b[4] = byte(hec.Checksum(b[:4]))
-	return nil
-}
-
-// DecodeFromBytes parses a cell header and validates its HEC.
-func (h *Header) DecodeFromBytes(b []byte) error {
-	if len(b) < HeaderSize {
-		return ErrShortHeader
-	}
-	if byte(hec.Checksum(b[:4])) != b[4] {
-		return ErrBadHEC
-	}
-	h.GFC = b[0] >> 4
-	h.VPI = b[0]<<4 | b[1]>>4
-	h.VCI = uint16(b[1]&0x0F)<<12 | uint16(b[2])<<4 | uint16(b[3])>>4
-	h.PTI = b[3] >> 1 & 7
-	h.CLP = b[3]&1 == 1
-	return nil
-}
-
 // Cell is one ATM cell: header plus its 48-byte payload.
 type Cell struct {
 	Header  Header
 	Payload [PayloadSize]byte
-}
-
-// SerializeTo writes the 53-byte wire form of the cell.
-func (c *Cell) SerializeTo(b []byte) error {
-	if len(b) < CellSize {
-		return ErrShortPayload
-	}
-	if err := c.Header.SerializeTo(b); err != nil {
-		return err
-	}
-	copy(b[HeaderSize:CellSize], c.Payload[:])
-	return nil
-}
-
-// DecodeFromBytes parses a 53-byte wire cell.
-func (c *Cell) DecodeFromBytes(b []byte) error {
-	if len(b) < CellSize {
-		return ErrShortPayload
-	}
-	if err := c.Header.DecodeFromBytes(b); err != nil {
-		return err
-	}
-	copy(c.Payload[:], b[HeaderSize:CellSize])
-	return nil
 }
 
 // Trailer is the 8-byte AAL5 CPCS trailer occupying the final bytes of
@@ -253,8 +185,4 @@ func checkFraming(cells []Cell) ([]byte, Trailer, error) {
 func CheckFraming(cells []Cell) (Trailer, error) {
 	_, tr, err := checkFraming(cells)
 	return tr, err
-}
-
-func (t Trailer) String() string {
-	return fmt.Sprintf("AAL5Trailer{len=%d crc=%#08x}", t.Length, t.CRC)
 }

@@ -37,26 +37,3 @@ func FuzzSegmentReassemble(f *testing.F) {
 		}
 	})
 }
-
-// FuzzHeaderDecode checks that any 5 bytes either fail the HEC or
-// round-trip exactly.
-func FuzzHeaderDecode(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0, 0x55})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		if len(raw) < HeaderSize {
-			return
-		}
-		var h Header
-		if err := h.DecodeFromBytes(raw); err != nil {
-			return // HEC rejected it; fine
-		}
-		var out [HeaderSize]byte
-		if err := h.SerializeTo(out[:]); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out[:], raw[:HeaderSize]) {
-			t.Fatalf("decode/encode mismatch: %x -> %+v -> %x", raw[:5], h, out)
-		}
-	})
-}

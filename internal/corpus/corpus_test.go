@@ -272,25 +272,6 @@ func TestCompressShrinksText(t *testing.T) {
 	}
 }
 
-func TestCompressedFSWalk(t *testing.T) {
-	fs := SICSOpt().Scale(0.05).Build()
-	c := CompressFS(fs)
-	if c.Name() != fs.Name+" (compressed)" {
-		t.Error("CompressedFS name")
-	}
-	files := 0
-	err := c.Walk(func(path string, data []byte) error {
-		files++
-		if filepath.Ext(path) != ".Z" {
-			t.Errorf("compressed path %q lacks .Z", path)
-		}
-		return nil
-	})
-	if err != nil || files == 0 {
-		t.Fatalf("walk: %v, %d files", err, files)
-	}
-}
-
 func TestScanDir(t *testing.T) {
 	dir := t.TempDir()
 	os.WriteFile(filepath.Join(dir, "a.txt"), []byte("hello"), 0o644)

@@ -210,14 +210,3 @@ func PathologicalGmon() Profile {
 		Seed: 0xBAD0003,
 	}
 }
-
-// Uniform is a corpus of uniformly random bytes — the baseline every
-// theoretical failure-rate prediction assumes.
-func Uniform() Profile {
-	return Profile{
-		Name:  "uniform",
-		Mix:   []TypeWeight{{UniformRandom, 1}},
-		Files: 60, MinSize: 8 * 1024, MaxSize: 64 * 1024,
-		Seed: 0x0001F0F0,
-	}
-}

@@ -38,29 +38,8 @@ func Compress(data []byte) []byte {
 	return b.Bytes()
 }
 
-// CompressFS returns a view of fs in which every file's contents are
-// LZW-compressed, reproducing "we compressed all the files in the file
-// system ... and ran our tests on the compressed files" (§5.1).
-func CompressFS(orig *FS) *CompressedFS { return &CompressedFS{orig: orig} }
-
-// CompressedFS wraps an FS, compressing each file during Walk.
-type CompressedFS struct {
-	orig *FS
-}
-
-// Name returns the underlying file system's name with a marker.
-func (c *CompressedFS) Name() string { return c.orig.Name + " (compressed)" }
-
-// Walk visits every file's compressed contents.
-func (c *CompressedFS) Walk(fn func(path string, data []byte) error) error {
-	return c.orig.Walk(func(path string, data []byte) error {
-		return fn(path+".Z", Compress(data))
-	})
-}
-
 // Walker is the file-source interface the simulator consumes: synthetic
-// file systems, compressed views and real directory trees all satisfy
-// it.
+// file systems and real directory trees both satisfy it.
 type Walker interface {
 	Walk(fn func(path string, data []byte) error) error
 }

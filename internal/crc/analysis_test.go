@@ -3,6 +3,8 @@ package crc
 import (
 	"math/rand/v2"
 	"testing"
+
+	"realsum/internal/gf2poly"
 )
 
 func TestAnalysisMatchesCatalogKnowledge(t *testing.T) {
@@ -21,14 +23,18 @@ func TestAnalysisMatchesCatalogKnowledge(t *testing.T) {
 		{CRC8, true, false},
 	}
 	for _, tc := range tests {
-		if got := tc.p.DetectsOddErrors(); got != tc.oddErrors {
+		g := tc.p.Generator()
+		if got := gf2poly.DetectsOddErrors(g); got != tc.oddErrors {
 			t.Errorf("%s: DetectsOddErrors = %v, want %v", tc.p.Name, got, tc.oddErrors)
 		}
-		if got := tc.p.GeneratorIsIrreducible(); got != tc.irreducible {
-			t.Errorf("%s: GeneratorIsIrreducible = %v, want %v", tc.p.Name, got, tc.irreducible)
+		if got := gf2poly.IsIrreducible(g); got != tc.irreducible {
+			t.Errorf("%s: IsIrreducible = %v, want %v", tc.p.Name, got, tc.irreducible)
 		}
-		if tc.p.MaxBurstDetected() != int(tc.p.Width) {
-			t.Errorf("%s: MaxBurstDetected", tc.p.Name)
+		// Every burst of at most Width bits is detected: its error
+		// polynomial x^k·e(x) has deg(e) < Width, which a degree-Width
+		// generator with a nonzero constant term never divides.
+		if !g.Bit(0) {
+			t.Errorf("%s: generator has no +1 term", tc.p.Name)
 		}
 	}
 }
@@ -44,7 +50,7 @@ func TestAnalysisPredictsEmpiricalOddErrorBehaviour(t *testing.T) {
 		base[i] = byte(rng.Uint32())
 	}
 	for _, p := range []Params{CRC32C, CRC16, CRC10, CRC8HEC} {
-		if !p.DetectsOddErrors() {
+		if !gf2poly.DetectsOddErrors(p.Generator()) {
 			t.Fatalf("%s should carry the x+1 factor", p.Name)
 		}
 		tab := New(p)
@@ -67,15 +73,23 @@ func TestAnalysisPredictsEmpiricalOddErrorBehaviour(t *testing.T) {
 	}
 }
 
+// detects2BitWithin reports whether p detects every 2-bit error whose
+// positions differ by at most spacing bits: x^d + 1 is a multiple of the
+// generator exactly when the order of x modulo it divides d.
+func detects2BitWithin(p Params, spacing uint64) bool {
+	g := p.Generator()
+	return g.Bit(0) && gf2poly.XOrder(g, spacing) == 0
+}
+
 func TestDetects2BitErrorsWithinPaperWindows(t *testing.T) {
-	if !CRC32.Detects2BitErrorsWithin(2048) {
+	if !detects2BitWithin(CRC32, 2048) {
 		t.Error("CRC-32 must detect 2-bit errors within the paper's 2048-bit window")
 	}
 	// CRC-16/CCITT order is 32767; confirm both sides of the boundary.
-	if !CRC16CCITT.Detects2BitErrorsWithin(32766) {
+	if !detects2BitWithin(CRC16CCITT, 32766) {
 		t.Error("CCITT within its order")
 	}
-	if CRC16CCITT.Detects2BitErrorsWithin(32767) {
+	if detects2BitWithin(CRC16CCITT, 32767) {
 		t.Error("CCITT beyond its order")
 	}
 }

@@ -63,51 +63,6 @@ func Reflect(v uint64, n uint8) uint64 {
 	return r
 }
 
-// bitwiseUpdate advances an unreflected, right-aligned register over
-// data one bit at a time — the transparent reference implementation the
-// table-driven path is validated against.  It works for any width ≥ 1.
-func (p Params) bitwiseUpdate(reg uint64, data []byte) uint64 {
-	mask := p.Mask()
-	for _, b := range data {
-		if p.RefIn {
-			b = byte(Reflect(uint64(b), 8))
-		}
-		for bit := 7; bit >= 0; bit-- {
-			in := uint64(b>>uint(bit)) & 1
-			hi := (reg >> (p.Width - 1)) & 1
-			reg = (reg << 1) & mask
-			if hi^in == 1 {
-				reg ^= p.Poly
-			}
-		}
-	}
-	return reg
-}
-
-// finalize converts a raw unreflected register value into the published
-// CRC value (output reflection then final XOR).
-func (p Params) finalize(reg uint64) uint64 {
-	if p.RefOut {
-		reg = Reflect(reg, p.Width)
-	}
-	return (reg ^ p.XorOut) & p.Mask()
-}
-
-// unfinalize inverts finalize.
-func (p Params) unfinalize(crc uint64) uint64 {
-	reg := (crc ^ p.XorOut) & p.Mask()
-	if p.RefOut {
-		reg = Reflect(reg, p.Width)
-	}
-	return reg
-}
-
-// BitwiseChecksum computes the CRC of data using the bitwise reference
-// algorithm.  Use Table for anything performance-sensitive.
-func (p Params) BitwiseChecksum(data []byte) uint64 {
-	return p.finalize(p.bitwiseUpdate(p.Init&p.Mask(), data))
-}
-
 // Table is a 256-entry table-driven CRC engine for one Params.
 //
 // For reflected-input algorithms the register is kept in reflected form
@@ -163,25 +118,6 @@ func New(p Params) *Table {
 	return t
 }
 
-// TryNew is New with errors instead of panics, for callers (census
-// candidate slates, fuzzers) that construct tables from untrusted or
-// generated Params.
-func TryNew(p Params) (t *Table, err error) {
-	if p.Width < 1 || p.Width > 64 {
-		return nil, fmt.Errorf("crc: invalid width %d for %q", p.Width, p.Name)
-	}
-	if p.RefIn != p.RefOut {
-		return nil, fmt.Errorf("crc: %q mixes RefIn and RefOut; unsupported", p.Name)
-	}
-	if p.Poly&^p.Mask() != 0 {
-		return nil, fmt.Errorf("crc: %q poly %#x exceeds width %d", p.Name, p.Poly, p.Width)
-	}
-	if p.Poly&1 == 0 {
-		return nil, fmt.Errorf("crc: %q poly %#x has no +1 term; register bits would be unreachable", p.Name, p.Poly)
-	}
-	return New(p), nil
-}
-
 // Params returns the algorithm description the table was built from.
 func (t *Table) Params() Params { return t.params }
 
@@ -232,12 +168,6 @@ func (t *Table) unfinalizeReg(crc uint64) uint64 {
 // Checksum computes the CRC of data.
 func (t *Table) Checksum(data []byte) uint64 {
 	return t.finalizeReg(t.updateSlicing(t.initReg(), data))
-}
-
-// Update extends a previously computed CRC with more data, as if the
-// concatenation had been checksummed in one call.
-func (t *Table) Update(crc uint64, data []byte) uint64 {
-	return t.finalizeReg(t.updateSlicing(t.unfinalizeReg(crc), data))
 }
 
 // RawInit returns the initial raw register state, for callers (like the

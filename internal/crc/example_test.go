@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"realsum/internal/crc"
+	"realsum/internal/gf2poly"
 )
 
 // One-shot CRC computation over the catalogued algorithms.
@@ -19,11 +20,11 @@ func ExampleTable_Checksum() {
 }
 
 // Computing, rather than quoting, an algorithm's error-detection
-// guarantees.
-func ExampleParams_DetectsOddErrors() {
-	fmt.Println("CRC-32: ", crc.CRC32.DetectsOddErrors())
-	fmt.Println("CRC-32C:", crc.CRC32C.DetectsOddErrors())
-	fmt.Println("CRC-16: ", crc.CRC16.DetectsOddErrors())
+// guarantees from its generator polynomial.
+func ExampleParams_Generator() {
+	fmt.Println("CRC-32: ", gf2poly.DetectsOddErrors(crc.CRC32.Generator()))
+	fmt.Println("CRC-32C:", gf2poly.DetectsOddErrors(crc.CRC32C.Generator()))
+	fmt.Println("CRC-16: ", gf2poly.DetectsOddErrors(crc.CRC16.Generator()))
 	// Output:
 	// CRC-32:  false
 	// CRC-32C: true

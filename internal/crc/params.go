@@ -1,5 +1,7 @@
 package crc
 
+import "realsum/internal/gf2poly"
+
 // Catalog of CRC algorithms used by the paper and its substrates.  Poly,
 // Init, reflection, XorOut and Check values follow the Rocksoft/catalog
 // conventions (CRC RevEng parameter database).
@@ -146,33 +148,8 @@ var (
 	}
 )
 
-// Catalog lists every registered algorithm, for table-driven tests and
-// the command-line tools.
-func Catalog() []Params {
-	return []Params{
-		CRC32, CRC32C, CRC10, CRC16, CRC16CCITT, CRC16XMODEM, CRC8HEC, CRC8, CRC64,
-		CRC24A, CRC24B, CRC24C, CRC11NR, CRC6NR, CRC32K, CRC32K2,
-	}
-}
-
-// ByName returns the catalogued Params with the given name and whether
-// it exists.
-func ByName(name string) (Params, bool) {
-	for _, p := range Catalog() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Params{}, false
-}
-
-// MakeParams builds an unreflected, zero-preset CRC of arbitrary width
-// over the given polynomial — the knob the "effective bits" experiment
-// turns to compare the TCP checksum against w-bit CRCs on uniform data.
-func MakeParams(width uint8, poly uint64) Params {
-	return Params{
-		Name:  "CRC-custom",
-		Width: width,
-		Poly:  poly,
-	}
+// Generator returns the full generator polynomial of p, including the
+// implicit x^Width term.
+func (p Params) Generator() gf2poly.Poly {
+	return gf2poly.FromCRC(p.Poly&p.Mask(), p.Width)
 }

@@ -1,12 +1,12 @@
 package dist
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
 	"realsum/internal/fletcher"
 	"realsum/internal/inet"
-	"realsum/internal/stats"
 )
 
 // Named executable forms of the appendix theorems about checksums over
@@ -32,7 +32,7 @@ func TestTheorem6TCPUniformOverUniformData(t *testing.T) {
 	for v := 0; v < 65535; v++ {
 		counts = append(counts, h.Count(uint16(v)))
 	}
-	chi2 := stats.ChiSquareUniform(counts)
+	chi2 := chiSquareUniform(counts)
 	// 65534 degrees of freedom: mean 65534, sd ≈ 362.  Allow ±6 sd.
 	if chi2 > 65534+6*362 || chi2 < 65534-6*362 {
 		t.Errorf("TCP checksum over uniform data: chi2 = %.0f (df 65534)", chi2)
@@ -58,7 +58,7 @@ func TestTheorem7FletcherUniformOverUniformData(t *testing.T) {
 			countsB[p.B%uint16(m)]++
 		}
 		for name, counts := range map[string][]uint64{"A": countsA, "B": countsB} {
-			chi2 := stats.ChiSquareUniform(counts)
+			chi2 := chiSquareUniform(counts)
 			df := float64(int(m) - 1)
 			sd := 22.6 // sqrt(2*255) ≈ 22.6
 			if chi2 > df+6*sd*2 {
@@ -100,4 +100,35 @@ func TestCorollary8EquivalentPowerOnUniformData(t *testing.T) {
 	within("TCP", pTCP, 1.0/65535)
 	within("F-255", p255, 1.0/(255*255))
 	within("F-256", p256, 1.0/65536)
+}
+
+// chiSquareUniform returns the chi-square statistic of counts against a
+// uniform expectation (degrees of freedom = len(counts)−1).
+func chiSquareUniform(counts []uint64) float64 {
+	var total uint64
+	for _, c := range counts {
+		total += c
+	}
+	if total == 0 || len(counts) == 0 {
+		return 0
+	}
+	exp := float64(total) / float64(len(counts))
+	var chi2 float64
+	for _, c := range counts {
+		d := float64(c) - exp
+		chi2 += d * d / exp
+	}
+	return chi2
+}
+
+func TestChiSquareUniform(t *testing.T) {
+	if got := chiSquareUniform([]uint64{10, 10, 10, 10}); got != 0 {
+		t.Errorf("flat counts chi2 = %v", got)
+	}
+	if got := chiSquareUniform([]uint64{40, 0, 0, 0}); math.Abs(got-120) > 1e-9 {
+		t.Errorf("point mass chi2 = %v, want 120", got)
+	}
+	if chiSquareUniform(nil) != 0 || chiSquareUniform([]uint64{0, 0}) != 0 {
+		t.Error("degenerate inputs")
+	}
 }

@@ -204,11 +204,3 @@ func (s *LocalSampler) Stats() LocalStats { return s.stats }
 
 // MergeStats folds another sampler shard's counts into s.
 func (s *LocalSampler) MergeStats(o *LocalSampler) { s.stats.Add(o.stats) }
-
-// SampleLocal runs a LocalSampler over one file — the one-shot form the
-// appendix tests and small tools use.
-func SampleLocal(data []byte, k, window int) LocalStats {
-	s := NewLocalSampler(k, window)
-	s.File(data)
-	return s.Stats()
-}

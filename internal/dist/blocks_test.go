@@ -31,8 +31,8 @@ func TestWindowerCellStreaming(t *testing.T) {
 		w.Write(data[off : off+n])
 		off += n
 	}
-	if w.Cells() != 5 {
-		t.Fatalf("%d cells, want 5", w.Cells())
+	if w.cells != 5 {
+		t.Fatalf("%d cells, want 5", w.cells)
 	}
 	for i := 0; i < 5; i++ {
 		if got, want := w.CellSum(i), inet.Sum(data[i*48:(i+1)*48]); got != want {
@@ -68,8 +68,8 @@ func TestWindowerReset(t *testing.T) {
 	w.Write(a)
 	w.Reset()
 	w.Write(b)
-	if w.Cells() != 4 || w.Windows() != 3 {
-		t.Fatalf("after reset: %d cells, %d windows", w.Cells(), w.Windows())
+	if w.cells != 4 || w.Windows() != 3 {
+		t.Fatalf("after reset: %d cells, %d windows", w.cells, w.Windows())
 	}
 	for i := 0; i < 3; i++ {
 		want := inet.Sum(b[i*48 : (i+2)*48])
@@ -284,4 +284,12 @@ func TestLocalityEffectOnRealisticData(t *testing.T) {
 		t.Errorf("local congruence %v < global %v on sectioned data",
 			local.CongruentP(), g.CongruentProbability())
 	}
+}
+
+// SampleLocal runs a LocalSampler over one file — the one-shot form the
+// appendix tests and small tools use.
+func SampleLocal(data []byte, k, window int) LocalStats {
+	s := NewLocalSampler(k, window)
+	s.File(data)
+	return s.Stats()
 }

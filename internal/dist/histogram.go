@@ -48,20 +48,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.total += o.total
 }
 
-// Count returns the number of observations of v (and its congruent
-// representation).
-func (h *Histogram) Count(v uint16) uint64 {
-	return h.counts[onescomp.Normalize(v)]
-}
-
-// P returns the empirical probability of v.
-func (h *Histogram) P(v uint16) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Count(v)) / float64(h.total)
-}
-
 // ValueCount pairs a checksum value with its observation count.
 type ValueCount struct {
 	Value uint16
@@ -157,45 +143,6 @@ func (h *Histogram) CollisionProbability() float64 {
 		}
 	}
 	return s / (float64(h.total) * float64(h.total-1))
-}
-
-// MatchProbability returns Σ pᵢqᵢ — the probability that independent
-// draws from h and g are congruent.
-func (h *Histogram) MatchProbability(g *Histogram) float64 {
-	if h.total == 0 || g.total == 0 {
-		return 0
-	}
-	var s float64
-	ht, gt := float64(h.total), float64(g.total)
-	for v, c := range h.counts {
-		if c > 0 && g.counts[v] > 0 {
-			s += float64(c) / ht * float64(g.counts[v]) / gt
-		}
-	}
-	return s
-}
-
-// OffsetMatchProbability returns P(X − Y ≡ c) for X∼h, Y∼g under
-// ones-complement subtraction — the quantity Lemma 9 compares against
-// the exact match: for any fixed offset c it can never exceed
-// MatchProbability when h = g.
-func (h *Histogram) OffsetMatchProbability(g *Histogram, c uint16) float64 {
-	if h.total == 0 || g.total == 0 {
-		return 0
-	}
-	var s float64
-	ht, gt := float64(h.total), float64(g.total)
-	for v, cnt := range h.counts {
-		if cnt == 0 {
-			continue
-		}
-		// want y with v - y ≡ c, i.e. y ≡ v - c
-		y := onescomp.Normalize(onescomp.Sub(uint16(v), c))
-		if g.counts[y] > 0 {
-			s += float64(cnt) / ht * float64(g.counts[y]) / gt
-		}
-	}
-	return s
 }
 
 // Distinct returns the number of distinct values observed.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"realsum/internal/onescomp"
 )
 
 func TestHistogramBasics(t *testing.T) {
@@ -20,9 +22,6 @@ func TestHistogramBasics(t *testing.T) {
 	}
 	if h.Count(5) != 2 || h.Count(9) != 3 || h.Count(100) != 0 {
 		t.Error("counts wrong")
-	}
-	if got := h.P(9); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("P(9) = %v", got)
 	}
 	if h.Distinct() != 3 {
 		t.Errorf("Distinct = %d", h.Distinct())
@@ -96,6 +95,12 @@ func TestCollisionProbability(t *testing.T) {
 	if h3.CollisionProbability() != 0 {
 		t.Error("single observation should give 0")
 	}
+	// Distinct singletons: the without-replacement estimate is 0, where
+	// the with-replacement Σp² would be 0.5.
+	h3.Add(2)
+	if got := h3.CollisionProbability(); got != 0 {
+		t.Errorf("collision estimate over singletons = %v, want 0", got)
+	}
 }
 
 func TestUniformCollisionNearTwoToMinus16(t *testing.T) {
@@ -112,41 +117,6 @@ func TestUniformCollisionNearTwoToMinus16(t *testing.T) {
 	}
 }
 
-func TestMatchProbability(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	a.AddN(1, 1)
-	a.AddN(2, 1)
-	b.AddN(2, 1)
-	b.AddN(3, 1)
-	// Only value 2 overlaps: 0.5 * 0.5.
-	if got := a.MatchProbability(b); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("MatchProbability = %v", got)
-	}
-	// Self match (with replacement) is Σp²; CollisionProbability is the
-	// unbiased without-replacement estimate — for a {1,1} sample they
-	// are 0.5 and 0 respectively.
-	if got := a.MatchProbability(a); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("self MatchProbability = %v, want 0.5", got)
-	}
-	if got := a.CollisionProbability(); got != 0 {
-		t.Errorf("collision estimate over singletons = %v, want 0", got)
-	}
-}
-
-func TestOffsetMatchProbability(t *testing.T) {
-	h := NewHistogram()
-	h.AddN(10, 1)
-	h.AddN(20, 1)
-	// X−Y ≡ 10: pairs (20,10): p = 0.25.  (10,0): no mass at 0.
-	if got := h.OffsetMatchProbability(h, 10); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("OffsetMatchProbability(10) = %v", got)
-	}
-	// Offset 0 equals plain match probability.
-	if got, want := h.OffsetMatchProbability(h, 0), h.MatchProbability(h); math.Abs(got-want) > 1e-12 {
-		t.Errorf("offset 0: %v != %v", got, want)
-	}
-}
-
 func TestPMaxEmptyAndFilled(t *testing.T) {
 	h := NewHistogram()
 	if _, p := h.PMax(); p != 0 {
@@ -158,4 +128,10 @@ func TestPMaxEmptyAndFilled(t *testing.T) {
 	if v != 42 || math.Abs(p-0.75) > 1e-12 {
 		t.Errorf("PMax = (%d, %v)", v, p)
 	}
+}
+
+// Count returns the number of observations of v (and its congruent
+// representation).
+func (h *Histogram) Count(v uint16) uint64 {
+	return h.counts[onescomp.Normalize(v)]
 }

@@ -102,15 +102,6 @@ func (s *AnyCellsSampler) Stats() LocalStats { return s.stats }
 // MergeStats folds another sampler shard's counts into s.
 func (s *AnyCellsSampler) MergeStats(o *AnyCellsSampler) { s.stats.Add(o.stats) }
 
-// SampleLocalAnyCells runs an AnyCellsSampler over one file — the
-// one-shot form the appendix tests and small tools use.  Deterministic
-// for a given seed.
-func SampleLocalAnyCells(data []byte, k, window, perWindow int, seed uint64) LocalStats {
-	s := NewAnyCellsSampler(k, window, perWindow)
-	s.File(data, seed)
-	return s.Stats()
-}
-
 // blocksIdentical reports whether the concatenation of cells ai equals
 // the concatenation of cells bi, cell-wise.
 func blocksIdentical(data []byte, ai, bi []int) bool {

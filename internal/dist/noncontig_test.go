@@ -80,3 +80,12 @@ func TestSampleLocalAnyCellsSeesMoreThanContiguous(t *testing.T) {
 		t.Error("identical pairs are congruent by definition")
 	}
 }
+
+// SampleLocalAnyCells runs an AnyCellsSampler over one file — the
+// one-shot form the appendix tests and small tools use.  Deterministic
+// for a given seed.
+func SampleLocalAnyCells(data []byte, k, window, perWindow int, seed uint64) LocalStats {
+	s := NewAnyCellsSampler(k, window, perWindow)
+	s.File(data, seed)
+	return s.Stats()
+}

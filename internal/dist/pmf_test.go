@@ -389,3 +389,93 @@ func TestLemma9EqualBeatsOffset(t *testing.T) {
 		}
 	}
 }
+
+// UniformPMF returns the uniform distribution over ℤ/m.
+func UniformPMF(m int) PMF {
+	p := NewPMF(m)
+	for i := range p.P {
+		p.P[i] = 1 / float64(m)
+	}
+	return p
+}
+
+// PointPMF returns the distribution concentrated at v mod m.
+func PointPMF(m, v int) PMF {
+	p := NewPMF(m)
+	p.P[((v%m)+m)%m] = 1
+	return p
+}
+
+// ConvolvePow returns the distribution of the sum of k independent
+// draws from p (k ≥ 1), via binary powering.
+func (p PMF) ConvolvePow(k int) PMF {
+	if k < 1 {
+		panic("dist: ConvolvePow needs k >= 1")
+	}
+	result := PointPMF(p.M, 0)
+	base := p
+	for k > 0 {
+		if k&1 == 1 {
+			result = result.Convolve(base)
+		}
+		k >>= 1
+		if k > 0 {
+			base = base.Convolve(base)
+		}
+	}
+	return result
+}
+
+// PMax returns the largest point mass.
+func (p PMF) PMax() float64 {
+	max := 0.0
+	for _, v := range p.P {
+		if v > max {
+			max = v
+		}
+	}
+	return max
+}
+
+// PMin returns the smallest point mass (including zeros).
+func (p PMF) PMin() float64 {
+	if len(p.P) == 0 {
+		return 0
+	}
+	min := p.P[0]
+	for _, v := range p.P[1:] {
+		if v < min {
+			min = v
+		}
+	}
+	return min
+}
+
+// OffsetMatch returns P(X − Y ≡ c mod M) for independent X, Y ∼ p.
+// Lemma 9: for every c this is at most SelfMatch.
+func (p PMF) OffsetMatch(c int) float64 {
+	m := p.M
+	c = ((c % m) + m) % m
+	var s float64
+	for v, pv := range p.P {
+		if pv == 0 {
+			continue
+		}
+		y := v - c
+		if y < 0 {
+			y += m
+		}
+		s += pv * p.P[y]
+	}
+	return s
+}
+
+// TotalMass returns Σp — 1.0 for a valid distribution, up to float
+// error.
+func (p PMF) TotalMass() float64 {
+	var s float64
+	for _, v := range p.P {
+		s += v
+	}
+	return s
+}

@@ -20,34 +20,12 @@ func (s *Sparse) Add(v uint64) {
 	s.total++
 }
 
-// Total returns the number of observations.
-func (s *Sparse) Total() uint64 { return s.total }
-
 // Merge adds every count of o into s, for combining per-worker shards.
 func (s *Sparse) Merge(o *Sparse) {
 	for v, c := range o.counts {
 		s.counts[v] += c
 	}
 	s.total += o.total
-}
-
-// Distinct returns the number of distinct values observed.
-func (s *Sparse) Distinct() int { return len(s.counts) }
-
-// PMax returns the most common value and its probability.
-func (s *Sparse) PMax() (uint64, float64) {
-	if s.total == 0 {
-		return 0, 0
-	}
-	var bestV, bestC uint64
-	first := true
-	for v, c := range s.counts {
-		if first || c > bestC || (c == bestC && v < bestV) {
-			bestV, bestC = v, c
-			first = false
-		}
-	}
-	return bestV, float64(bestC) / float64(s.total)
 }
 
 // CollisionProbability estimates P(two independent draws equal) with

@@ -11,32 +11,15 @@ func TestSparseBasics(t *testing.T) {
 	if s.Total() != 0 || s.Distinct() != 0 || s.CollisionProbability() != 0 {
 		t.Error("empty sparse census misbehaves")
 	}
-	if _, p := s.PMax(); p != 0 {
-		t.Error("empty PMax")
-	}
 	s.Add(5)
 	s.Add(5)
 	s.Add(9)
 	if s.Total() != 3 || s.Distinct() != 2 {
 		t.Errorf("total %d distinct %d", s.Total(), s.Distinct())
 	}
-	v, p := s.PMax()
-	if v != 5 || math.Abs(p-2.0/3) > 1e-12 {
-		t.Errorf("PMax = (%d, %v)", v, p)
-	}
 	// Pairs: {5,5} collide; 2/(3·2) = 1/3.
 	if got := s.CollisionProbability(); math.Abs(got-1.0/3) > 1e-12 {
 		t.Errorf("collision = %v", got)
-	}
-}
-
-func TestSparsePMaxTieBreak(t *testing.T) {
-	s := NewSparse()
-	s.Add(9)
-	s.Add(2)
-	v, _ := s.PMax()
-	if v != 2 {
-		t.Errorf("tie should break to smaller value, got %d", v)
 	}
 }
 
@@ -56,3 +39,9 @@ func TestSparseMatchesDenseOnSmallSpace(t *testing.T) {
 		t.Errorf("distinct %d != %d", s.Distinct(), h.Distinct())
 	}
 }
+
+// Total returns the number of observations.
+func (s *Sparse) Total() uint64 { return s.total }
+
+// Distinct returns the number of distinct values observed.
+func (s *Sparse) Distinct() int { return len(s.counts) }

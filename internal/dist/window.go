@@ -54,9 +54,6 @@ func NewWindower(k, cellHistory, windowHistory int) *Windower {
 	return w
 }
 
-// K returns the window size in cells.
-func (w *Windower) K() int { return w.k }
-
 // Reset discards all streamed state so the Windower can take the next
 // file, keeping its rings allocated.
 func (w *Windower) Reset() {
@@ -103,9 +100,6 @@ func (w *Windower) PushCell(sum uint16) {
 		w.winBuf[(w.cells-w.k)%w.winCap] = w.run
 	}
 }
-
-// Cells returns the number of complete cells streamed since Reset.
-func (w *Windower) Cells() int { return w.cells }
 
 // Windows returns the number of complete k-cell windows produced.
 func (w *Windower) Windows() int {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -421,4 +422,25 @@ func TestPathologicalCases(t *testing.T) {
 	if !strings.Contains(PathologicalReport(rows), "pbm") {
 		t.Error("PathologicalReport malformed")
 	}
+}
+
+// Get returns the result for one registry name; it panics on a name the
+// row does not carry, which is always a programming error.
+func (r Table8Row) Get(name string) sim.Result {
+	for _, e := range r.Results {
+		if e.Algo == name {
+			return e.Res
+		}
+	}
+	panic(fmt.Sprintf("experiments: row %q has no algorithm %q", r.System, name))
+}
+
+// Get returns the result for one registry name (panics if absent).
+func (r PathologicalRow) Get(name string) sim.Result {
+	for _, e := range r.Results {
+		if e.Algo == name {
+			return e.Res
+		}
+	}
+	panic(fmt.Sprintf("experiments: row %q has no algorithm %q", r.Corpus, name))
 }

@@ -184,17 +184,6 @@ type Table8Row struct {
 	Results []AlgResult
 }
 
-// Get returns the result for one registry name; it panics on a name the
-// row does not carry, which is always a programming error.
-func (r Table8Row) Get(name string) sim.Result {
-	for _, e := range r.Results {
-		if e.Algo == name {
-			return e.Res
-		}
-	}
-	panic(fmt.Sprintf("experiments: row %q has no algorithm %q", r.System, name))
-}
-
 // runPacketAlgos simulates one profile under every packetAlgos entry.
 func runPacketAlgos(cfg Config, p corpus.Profile) []AlgResult {
 	var out []AlgResult
@@ -427,16 +416,6 @@ func AblationsReport(d AblationData) string {
 type PathologicalRow struct {
 	Corpus  string
 	Results []AlgResult
-}
-
-// Get returns the result for one registry name (panics if absent).
-func (r PathologicalRow) Get(name string) sim.Result {
-	for _, e := range r.Results {
-		if e.Algo == name {
-			return e.Res
-		}
-	}
-	panic(fmt.Sprintf("experiments: row %q has no algorithm %q", r.Corpus, name))
 }
 
 // Pathological measures the §5.5 cases.

@@ -81,10 +81,6 @@ func (m Mod) neg(x uint16) uint16 {
 	return uint16(m) - x
 }
 
-// Canonical reduces a byte to its canonical residue under m.  Under
-// Mod255 both 0x00 and 0xFF map to 0 — Fletcher-255's "two zeros".
-func (m Mod) Canonical(d byte) uint16 { return uint16(d) % uint16(m) }
-
 // ShiftedBy returns the contribution of a fragment whose standalone pair
 // is p when the fragment's final byte sits off bytes before the end of
 // the enclosing packet: A is unchanged and B gains A·off (§5.2).

@@ -11,11 +11,7 @@
 // (CRC-64 generators have degree 64 and need 65 bits).
 package gf2poly
 
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-)
+import "math/bits"
 
 // Poly is a polynomial over GF(2).  The zero value is the zero
 // polynomial.  Words hold coefficients little-endian; trailing zero
@@ -81,15 +77,6 @@ func (p Poly) Degree() int {
 	}
 	top := p.w[len(p.w)-1]
 	return (len(p.w)-1)*64 + bits.Len64(top) - 1
-}
-
-// Weight returns the number of nonzero coefficients (terms).
-func (p Poly) Weight() int {
-	n := 0
-	for _, w := range p.w {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // Bit reports coefficient i.
@@ -211,20 +198,6 @@ func GCD(p, q Poly) Poly {
 // MulMod returns p·q mod m.
 func MulMod(p, q, m Poly) Poly { return p.Mul(q).Mod(m) }
 
-// ExpMod returns x^e mod m via square-and-multiply (e ≥ 0).
-func ExpMod(e uint64, m Poly) Poly {
-	result := New(1).Mod(m)
-	base := Monomial(1).Mod(m)
-	for e > 0 {
-		if e&1 == 1 {
-			result = MulMod(result, base, m)
-		}
-		base = MulMod(base, base, m)
-		e >>= 1
-	}
-	return result
-}
-
 // X1 is the polynomial x + 1, whose presence as a factor of a CRC
 // generator is exactly the condition for detecting all odd-weight
 // errors.
@@ -288,54 +261,4 @@ func primeFactors(n int) []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-// OrderOfX returns the multiplicative order of x modulo p — the
-// smallest e ≥ 1 with x^e ≡ 1 (mod p) — or 0 if x is not invertible
-// (p divisible by x) or the order exceeds limit.  A CRC whose
-// generator has x-order e detects all 2-bit errors fewer than e bit
-// positions apart; §2's "all 2-bit errors less than 2048 bits apart"
-// for CRC-32 is a (conservative) statement about this order.  It is
-// XOrder for p of degree 1..64 and panics above that; modulo the
-// constant 1 every residue is 1, so the order is 1.
-func OrderOfX(p Poly, limit uint64) uint64 {
-	if p.Degree() < 1 {
-		if p.Bit(0) && limit >= 1 {
-			return 1
-		}
-		return 0
-	}
-	return XOrder(p, limit)
-}
-
-// Detects2BitErrors reports whether a CRC with this generator detects
-// every 2-bit error whose bit positions differ by at most maxSpacing:
-// equivalent to x^d + 1 not being divisible by p for any d ≤
-// maxSpacing, i.e. the order of x mod p exceeding maxSpacing (for
-// generators with a nonzero constant term).
-func Detects2BitErrors(generator Poly, maxSpacing uint64) bool {
-	ord := OrderOfX(generator, maxSpacing)
-	return ord == 0 && generator.Bit(0)
-}
-
-// String renders the polynomial in the usual x^i + … form.
-func (p Poly) String() string {
-	if p.IsZero() {
-		return "0"
-	}
-	var terms []string
-	for i := p.Degree(); i >= 0; i-- {
-		if !p.Bit(i) {
-			continue
-		}
-		switch i {
-		case 0:
-			terms = append(terms, "1")
-		case 1:
-			terms = append(terms, "x")
-		default:
-			terms = append(terms, fmt.Sprintf("x^%d", i))
-		}
-	}
-	return strings.Join(terms, "+")
 }

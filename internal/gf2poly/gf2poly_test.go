@@ -1,7 +1,10 @@
 package gf2poly
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -234,25 +237,33 @@ func TestIsIrreducible(t *testing.T) {
 
 func TestOrderOfX(t *testing.T) {
 	// x mod (x+1): x ≡ 1, order 1.
-	if got := OrderOfX(New(0b11), 10); got != 1 {
+	if got := XOrder(New(0b11), 10); got != 1 {
 		t.Errorf("order mod x+1 = %d", got)
 	}
 	// x^2+x+1 divides x^3+1: order 3.
-	if got := OrderOfX(New(0b111), 10); got != 3 {
+	if got := XOrder(New(0b111), 10); got != 3 {
 		t.Errorf("order mod x^2+x+1 = %d", got)
 	}
 	// Primitive degree-4: x^4+x+1 has order 15.
-	if got := OrderOfX(New(0b10011), 100); got != 15 {
+	if got := XOrder(New(0b10011), 100); got != 15 {
 		t.Errorf("order mod x^4+x+1 = %d", got)
 	}
 	// Non-invertible (divisible by x).
-	if got := OrderOfX(New(0b110), 100); got != 0 {
+	if got := XOrder(New(0b110), 100); got != 0 {
 		t.Errorf("order of x mod x(x+1) = %d", got)
 	}
 	// Limit exceeded returns 0.
-	if got := OrderOfX(New(0b10011), 10); got != 0 {
+	if got := XOrder(New(0b10011), 10); got != 0 {
 		t.Errorf("limited order = %d", got)
 	}
+}
+
+// detects2Bit reports whether a CRC with this generator detects every
+// 2-bit error whose positions differ by at most maxSpacing: x^d + 1 is
+// a multiple of the generator exactly when the order of x modulo it
+// divides d, so the order must exceed maxSpacing.
+func detects2Bit(generator Poly, maxSpacing uint64) bool {
+	return generator.Bit(0) && XOrder(generator, maxSpacing) == 0
 }
 
 func TestDetects2BitErrorsClaims(t *testing.T) {
@@ -260,19 +271,19 @@ func TestDetects2BitErrorsClaims(t *testing.T) {
 	// (Its true x-order is far larger; confirming the stated window is
 	// cheap.)
 	g32 := FromCRC(0x04C11DB7, 32)
-	if !Detects2BitErrors(g32, 2048) {
+	if !detects2Bit(g32, 2048) {
 		t.Error("CRC-32 should detect 2-bit errors within 2048 bits")
 	}
 	// CRC-16/CCITT polynomial x^16+x^12+x^5+1 = (x+1)·primitive15:
 	// order is 2^15−1 = 32767, so spacing 32767 is undetectable.
 	ccitt := FromCRC(0x1021, 16)
-	if !Detects2BitErrors(ccitt, 32766) {
+	if !detects2Bit(ccitt, 32766) {
 		t.Error("CCITT should detect 2-bit errors within 32766 bits")
 	}
-	if Detects2BitErrors(ccitt, 32767) {
+	if detects2Bit(ccitt, 32767) {
 		t.Error("CCITT cannot detect a 2-bit error spaced exactly 32767")
 	}
-	if got := OrderOfX(ccitt, 40000); got != 32767 {
+	if got := XOrder(ccitt, 40000); got != 32767 {
 		t.Errorf("CCITT x-order = %d, want 32767", got)
 	}
 }
@@ -300,4 +311,49 @@ func TestShlAgainstMonomialMul(t *testing.T) {
 			t.Fatalf("Shl(%d) != Mul(x^%d)", n, n)
 		}
 	}
+}
+
+// ExpMod returns x^e mod m via square-and-multiply (e ≥ 0).
+func ExpMod(e uint64, m Poly) Poly {
+	result := New(1).Mod(m)
+	base := Monomial(1).Mod(m)
+	for e > 0 {
+		if e&1 == 1 {
+			result = MulMod(result, base, m)
+		}
+		base = MulMod(base, base, m)
+		e >>= 1
+	}
+	return result
+}
+
+// Weight returns the number of nonzero coefficients (terms).
+func (p Poly) Weight() int {
+	n := 0
+	for _, w := range p.w {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// String renders the polynomial in the usual x^i + … form.
+func (p Poly) String() string {
+	if p.IsZero() {
+		return "0"
+	}
+	var terms []string
+	for i := p.Degree(); i >= 0; i-- {
+		if !p.Bit(i) {
+			continue
+		}
+		switch i {
+		case 0:
+			terms = append(terms, "1")
+		case 1:
+			terms = append(terms, "x")
+		default:
+			terms = append(terms, fmt.Sprintf("x^%d", i))
+		}
+	}
+	return strings.Join(terms, "+")
 }

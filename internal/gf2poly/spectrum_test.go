@@ -174,8 +174,8 @@ func weight3PairWalk(g Poly, nBits int) uint64 {
 	return a3
 }
 
-// TestXOrderMatchesOrderOfX pins the baby-step giant-step XOrder, and
-// OrderOfX which delegates to it, against both scan oracles over random
+// TestXOrderMatchesOrderOfX pins the baby-step giant-step XOrder
+// against both order-of-x scan oracles over random
 // generators (dense collision regime, including degree 1 and
 // x-divisible ones) at several limits, and over the census slate.
 func TestXOrderMatchesOrderOfX(t *testing.T) {
@@ -194,9 +194,6 @@ func TestXOrderMatchesOrderOfX(t *testing.T) {
 			}
 			if got := XOrder(gen, limit); got != want {
 				t.Fatalf("w=%d poly=%#x limit=%d: XOrder=%d, scan=%d", width, poly, limit, got, want)
-			}
-			if got := OrderOfX(gen, limit); got != want {
-				t.Fatalf("w=%d poly=%#x limit=%d: OrderOfX=%d, scan=%d", width, poly, limit, got, want)
 			}
 		}
 	}
@@ -226,38 +223,48 @@ func TestXOrderCensusHorizon(t *testing.T) {
 	}
 }
 
-// TestOrderOfXDegenerate pins the cases below XOrder's degree range:
-// nothing is invertible modulo 0, and modulo 1 every residue is 1.
+// TestOrderOfXDegenerate pins XOrder at the edges of its domain: below
+// degree 1 there is no modulus to take the order in (the zero polynomial
+// and the constant 1 are not CRC generators), so XOrder panics, as it
+// does above degree 64; x+1, the smallest modulus, gives order 1, and a
+// limit of 0 finds no order.
 func TestOrderOfXDegenerate(t *testing.T) {
-	if got := OrderOfX(Poly{}, 10); got != 0 {
-		t.Errorf("order mod 0 = %d", got)
+	for _, g := range []Poly{{}, New(1), Monomial(65)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("XOrder(%v) did not panic", g)
+				}
+			}()
+			XOrder(g, 10)
+		}()
 	}
-	if got := OrderOfX(New(1), 10); got != 1 {
-		t.Errorf("order mod 1 = %d", got)
+	if got := XOrder(New(0b11), 10); got != 1 {
+		t.Errorf("order mod x+1 = %d", got)
 	}
-	if got := OrderOfX(New(1), 0); got != 0 {
-		t.Errorf("order mod 1 at limit 0 = %d", got)
+	if got := XOrder(New(0b11), 0); got != 0 {
+		t.Errorf("order mod x+1 at limit 0 = %d", got)
 	}
 }
 
 // TestOrderConsistency pins, for every census generator, the three
 // statements of the same fact against each other: the order of x (the
-// scan oracle, and OrderOfX), Detects2BitErrors, and A2 (a 2-bit error
+// scan oracle, and XOrder), detects2Bit, and A2 (a 2-bit error
 // at spacing d is undetected iff ord(x) divides d).
 func TestOrderConsistency(t *testing.T) {
 	const horizon = 1 << 16
 	for _, g := range censusGenerators {
 		gen := FromCRC(g.poly, g.width)
 		ord := xOrderScan(gen, horizon)
-		if got := OrderOfX(gen, horizon); got != ord {
-			t.Errorf("%s: OrderOfX=%d, scan=%d", g.name, got, ord)
+		if got := XOrder(gen, horizon); got != ord {
+			t.Errorf("%s: XOrder=%d, scan=%d", g.name, got, ord)
 		}
 		for _, nBits := range []int{64, 1024, 2048} {
 			a2 := UndetectedWeight2(gen, nBits)
 			maxSpacing := uint64(nBits - 1)
-			detects := Detects2BitErrors(gen, maxSpacing)
+			detects := detects2Bit(gen, maxSpacing)
 			if detects != (a2 == 0) {
-				t.Errorf("%s nBits=%d: Detects2BitErrors=%v but A2=%d", g.name, nBits, detects, a2)
+				t.Errorf("%s nBits=%d: detects2Bit=%v but A2=%d", g.name, nBits, detects, a2)
 			}
 			if ord != 0 && ord <= maxSpacing {
 				// Closed form: Σ over multiples m of ord with m ≤ nBits−1

@@ -31,7 +31,7 @@ func ExampleDigest() {
 	d := inet.New()
 	d.Write([]byte("hello, "))
 	d.Write([]byte("world"))
-	fmt.Printf("%#04x over %d bytes\n", d.Sum16(), d.Len())
+	fmt.Printf("%#04x over %d bytes\n", d.Checksum16(), d.Len())
 	// Output:
-	// 0x404c over 12 bytes
+	// 0xbfb3 over 12 bytes
 }

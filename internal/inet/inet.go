@@ -74,9 +74,6 @@ func (d *Digest) Write(data []byte) (int, error) {
 	return len(data), nil
 }
 
-// Sum16 returns the raw ones-complement sum of everything written.
-func (d *Digest) Sum16() uint16 { return d.part.Sum }
-
 // Checksum16 returns the complemented (wire-format) checksum of
 // everything written.
 func (d *Digest) Checksum16() uint16 { return onescomp.Neg(d.part.Sum) }

@@ -143,14 +143,14 @@ func TestDigestStreaming(t *testing.T) {
 	if d.Len() != len(data) {
 		t.Fatalf("Len = %d, want %d", d.Len(), len(data))
 	}
-	if !onescomp.Congruent(d.Sum16(), Sum(data)) {
-		t.Fatalf("streaming sum %#04x != one-shot %#04x", d.Sum16(), Sum(data))
+	if !onescomp.Congruent(d.part.Sum, Sum(data)) {
+		t.Fatalf("streaming sum %#04x != one-shot %#04x", d.part.Sum, Sum(data))
 	}
-	if d.Checksum16() != onescomp.Neg(d.Sum16()) {
-		t.Error("Checksum16 must be the complement of Sum16")
+	if d.Checksum16() != onescomp.Neg(d.part.Sum) {
+		t.Error("Checksum16 must be the complement of the raw sum")
 	}
 	d.Reset()
-	if d.Len() != 0 || d.Sum16() != 0 {
+	if d.Len() != 0 || d.part.Sum != 0 {
 		t.Error("Reset did not clear state")
 	}
 }

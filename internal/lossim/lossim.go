@@ -179,17 +179,6 @@ func (g *GilbertElliott) Drop(rng *rand.Rand, eop bool) bool {
 	return drop
 }
 
-// AvgLoss returns the stationary average cell-loss rate
-// πG·DropGood + πB·DropBad, with πB = PGoodBad/(PGoodBad+PBadGood).
-func (g *GilbertElliott) AvgLoss() float64 {
-	denom := g.PGoodBad + g.PBadGood
-	if denom == 0 {
-		return g.DropGood
-	}
-	piB := g.PGoodBad / denom
-	return (1-piB)*g.DropGood + piB*g.DropBad
-}
-
 // GilbertElliottAt builds a chain whose stationary average loss rate is
 // exactly rate, with the given mean Bad sojourn (in cells) and per-state
 // drop rates: the Bad-state occupancy πB = (rate−dropGood)/(dropBad−dropGood)
@@ -243,17 +232,10 @@ func (b *BurstDrop) Drop(rng *rand.Rand, eop bool) bool {
 	return false
 }
 
-// AvgLoss returns the stationary average cell-loss rate.  With s = Start
-// and r = Continue, a cell is dropped iff a run is active or starts, and
-// the run latch after a dropped cell is set with probability r, so the
-// drop rate d satisfies d = d·r + (1−d·r)·s.
-func (b *BurstDrop) AvgLoss() float64 {
-	return b.Start / (1 - b.Continue + b.Continue*b.Start)
-}
-
 // BurstDropAt builds a run-loss process whose stationary average loss
 // rate is exactly rate with the given mean run length (≥ 1 cell) —
-// inverting AvgLoss for Start at Continue = 1 − 1/meanRun.
+// inverting the stationary drop rate d = s/(1 − r + r·s) of Start = s
+// and Continue = r for s at r = 1 − 1/meanRun.
 func BurstDropAt(rate, meanRun float64) *BurstDrop {
 	if rate < 0 || rate >= 1 || meanRun < 1 {
 		panic("lossim: BurstDropAt needs 0 <= rate < 1 and meanRun >= 1")
@@ -277,9 +259,6 @@ type Stats struct {
 	Undetected       uint64 // accepted, but matches no sent packet
 	CleanLost        uint64 // packets whose trailer never arrived
 }
-
-// Accepted returns the number of packets the receiver handed up.
-func (s Stats) Accepted() uint64 { return s.Intact + s.Undetected }
 
 // Run transmits the packets (complete IPv4 packets built under opts)
 // as AAL5 cell streams through the loss policy and collects the

@@ -42,7 +42,7 @@ func TestNoLossDeliversEverything(t *testing.T) {
 func TestTotalLossDeliversNothing(t *testing.T) {
 	pkts := buildStream(20, tcpip.BuildOptions{}, zeroHeavy(nil))
 	st := Run(pkts, RandomLoss{P: 1}, tcpip.BuildOptions{}, 1)
-	if st.Accepted() != 0 || st.CleanLost != 20 {
+	if st.Intact+st.Undetected != 0 || st.CleanLost != 20 {
 		t.Errorf("total loss: %+v", st)
 	}
 	if st.CellsDropped != st.CellsSent {

@@ -116,3 +116,22 @@ func TestCorrelatedStatePersistsAcrossPacketBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// AvgLoss returns the stationary average cell-loss rate
+// πG·DropGood + πB·DropBad, with πB = PGoodBad/(PGoodBad+PBadGood).
+func (g *GilbertElliott) AvgLoss() float64 {
+	denom := g.PGoodBad + g.PBadGood
+	if denom == 0 {
+		return g.DropGood
+	}
+	piB := g.PGoodBad / denom
+	return (1-piB)*g.DropGood + piB*g.DropBad
+}
+
+// AvgLoss returns the stationary average cell-loss rate.  With s = Start
+// and r = Continue, a cell is dropped iff a run is active or starts, and
+// the run latch after a dropped cell is set with probability r, so the
+// drop rate d satisfies d = d·r + (1−d·r)·s.
+func (b *BurstDrop) AvgLoss() float64 {
+	return b.Start / (1 - b.Continue + b.Continue*b.Start)
+}

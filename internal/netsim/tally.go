@@ -30,14 +30,6 @@ func (a AlgoTally) Rate() (float64, bool) {
 	return float64(a.Undetected) / float64(n), true
 }
 
-// MissRate is the miss rate with the zero-candidate case flattened to
-// 0 — the raw number for arithmetic.  Renderers use Rate, whose ok
-// result distinguishes "never missed" from "never scored".
-func (a AlgoTally) MissRate() float64 {
-	r, _ := a.Rate()
-	return r
-}
-
 // rateCell renders an AlgoTally's miss rate for a table cell: the
 // percentage, or "-" when no corrupted delivery was ever scored.
 func rateCell(a AlgoTally) string {

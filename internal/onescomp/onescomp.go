@@ -100,16 +100,6 @@ func SumBytes(data []byte) uint16 {
 // be folded into a word-aligned total.
 func Swap(x uint16) uint16 { return x<<8 | x>>8 }
 
-// UpdateWord implements the corrected incremental-update equation of
-// RFC 1624: given the checksum field value old (the complemented sum, as
-// stored in a header) and a 16-bit word of the covered data changing from
-// from to to, it returns the new checksum field value.
-//
-//	HC' = ~(~HC + ~m + m')
-func UpdateWord(old, from, to uint16) uint16 {
-	return Neg(Add(Add(Neg(old), Neg(from)), to))
-}
-
 // UpdateSum adjusts a raw (uncomplemented) sum for a 16-bit word of the
 // covered data changing from from to to.
 func UpdateSum(sum, from, to uint16) uint16 {

@@ -278,3 +278,13 @@ func TestAddMatchesResidueModel(t *testing.T) {
 		}
 	}
 }
+
+// UpdateWord implements the corrected incremental-update equation of
+// RFC 1624: given the checksum field value old (the complemented sum, as
+// stored in a header) and a 16-bit word of the covered data changing from
+// from to to, it returns the new checksum field value.
+//
+//	HC' = ~(~HC + ~m + m')
+func UpdateWord(old, from, to uint16) uint16 {
+	return Neg(Add(Add(Neg(old), Neg(from)), to))
+}

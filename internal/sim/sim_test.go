@@ -169,7 +169,8 @@ func TestConvolveDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestConvolveCancellation(t *testing.T) {
 	c, cancel := context.WithCancel(context.Background())
 	cancel()
-	u := dist.UniformPMF(65535)
+	u := dist.NewPMF(65535)
+	u.P[0] = 1
 	if _, err := Convolve(c, u, u, CollectOptions{Workers: 2}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Convolve err = %v, want context.Canceled", err)
 	}

@@ -1,6 +1,6 @@
 // Package stats holds the small numeric helpers the experiment harness
-// shares: effective-bits conversion, chi-square uniformity testing and
-// binomial confidence intervals.
+// shares: effective-bits conversion, the uniform-data miss rate and
+// Shannon entropy.
 package stats
 
 import "math"
@@ -23,48 +23,6 @@ func UniformMissRate(bits int) float64 {
 	return math.Ldexp(1, -bits)
 }
 
-// ChiSquareUniform returns the chi-square statistic of counts against a
-// uniform expectation (degrees of freedom = len(counts)−1).
-func ChiSquareUniform(counts []uint64) float64 {
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 || len(counts) == 0 {
-		return 0
-	}
-	exp := float64(total) / float64(len(counts))
-	var chi2 float64
-	for _, c := range counts {
-		d := float64(c) - exp
-		chi2 += d * d / exp
-	}
-	return chi2
-}
-
-// WilsonInterval returns the 95% Wilson score interval for a binomial
-// proportion with k successes in n trials — used when comparing small
-// miss counts between configurations.
-func WilsonInterval(k, n uint64) (lo, hi float64) {
-	if n == 0 {
-		return 0, 1
-	}
-	const z = 1.96
-	p := float64(k) / float64(n)
-	nf := float64(n)
-	denom := 1 + z*z/nf
-	center := (p + z*z/(2*nf)) / denom
-	half := z * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf)) / denom
-	lo, hi = center-half, center+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
-}
-
 // ShannonEntropy returns the entropy in bits per symbol of the given
 // count histogram — the §1 motivation quantified: English text runs
 // ≈4.5 bits/byte, compiled binaries ≈2–6, LZW output ≈8.
@@ -85,12 +43,4 @@ func ShannonEntropy(counts []uint64) float64 {
 		h -= p * math.Log2(p)
 	}
 	return h
-}
-
-// Ratio returns a/b, or 0 when b is 0.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }

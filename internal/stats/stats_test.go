@@ -30,46 +30,6 @@ func TestUniformMissRate(t *testing.T) {
 	}
 }
 
-func TestChiSquareUniform(t *testing.T) {
-	if got := ChiSquareUniform([]uint64{10, 10, 10, 10}); got != 0 {
-		t.Errorf("flat counts chi2 = %v", got)
-	}
-	if got := ChiSquareUniform([]uint64{40, 0, 0, 0}); math.Abs(got-120) > 1e-9 {
-		t.Errorf("point mass chi2 = %v, want 120", got)
-	}
-	if ChiSquareUniform(nil) != 0 || ChiSquareUniform([]uint64{0, 0}) != 0 {
-		t.Error("degenerate inputs")
-	}
-}
-
-func TestWilsonInterval(t *testing.T) {
-	lo, hi := WilsonInterval(0, 0)
-	if lo != 0 || hi != 1 {
-		t.Error("no-trials interval should be [0,1]")
-	}
-	lo, hi = WilsonInterval(50, 100)
-	if lo > 0.5 || hi < 0.5 {
-		t.Errorf("interval [%v, %v] should contain 0.5", lo, hi)
-	}
-	if hi-lo > 0.25 {
-		t.Errorf("interval too wide: [%v, %v]", lo, hi)
-	}
-	lo, hi = WilsonInterval(0, 1000)
-	if lo > 1e-12 || hi > 0.01 {
-		t.Errorf("zero-successes interval [%v, %v]", lo, hi)
-	}
-	lo, hi = WilsonInterval(1000, 1000)
-	if hi != 1 || lo < 0.99 {
-		t.Errorf("all-successes interval [%v, %v]", lo, hi)
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(1, 2) != 0.5 || Ratio(1, 0) != 0 {
-		t.Error("Ratio")
-	}
-}
-
 func TestShannonEntropy(t *testing.T) {
 	// Uniform over 256 symbols: exactly 8 bits.
 	uniform := make([]uint64, 256)

@@ -2,14 +2,13 @@
 // pseudo-header, and the packet builder the paper's FTP simulation uses.
 //
 // The decode/serialize style follows the usual Go packet-layer idiom:
-// each header type has DecodeFromBytes and SerializeTo methods operating
-// on caller-owned buffers, so the splice simulator can construct and
-// inspect millions of packets without allocation.
+// the IPv4 and TCP headers have DecodeFromBytes and SerializeTo methods
+// operating on caller-owned buffers, so the splice simulator can
+// construct and inspect millions of packets without allocation.
 package tcpip
 
 import (
 	"errors"
-	"fmt"
 
 	"realsum/internal/inet"
 )
@@ -134,12 +133,4 @@ func putU32(b []byte, v uint32) {
 }
 func getU32(b []byte) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-// String renders the header for diagnostics.
-func (h *IPv4Header) String() string {
-	return fmt.Sprintf("IPv4{len=%d id=%d %d.%d.%d.%d > %d.%d.%d.%d proto=%d}",
-		h.TotalLength, h.ID,
-		h.Src[0], h.Src[1], h.Src[2], h.Src[3],
-		h.Dst[0], h.Dst[1], h.Dst[2], h.Dst[3], h.Protocol)
 }

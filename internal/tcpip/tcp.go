@@ -1,8 +1,6 @@
 package tcpip
 
 import (
-	"fmt"
-
 	"realsum/internal/inet"
 	"realsum/internal/onescomp"
 )
@@ -105,10 +103,4 @@ func ValidateTCP(seg []byte) error {
 		return ErrBadFlags
 	}
 	return nil
-}
-
-// String renders the header for diagnostics.
-func (h *TCPHeader) String() string {
-	return fmt.Sprintf("TCP{%d>%d seq=%d ack=%d flags=%#02x ck=%#04x}",
-		h.SrcPort, h.DstPort, h.Seq, h.Ack, h.Flags, h.Checksum)
 }

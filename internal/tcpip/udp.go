@@ -35,18 +35,6 @@ func (h *UDPHeader) SerializeTo(b []byte) error {
 	return nil
 }
 
-// DecodeFromBytes parses a UDP header from b.
-func (h *UDPHeader) DecodeFromBytes(b []byte) error {
-	if len(b) < UDPHeaderLen {
-		return ErrTruncated
-	}
-	h.SrcPort = getU16(b[0:])
-	h.DstPort = getU16(b[2:])
-	h.Length = getU16(b[4:])
-	h.Checksum = getU16(b[6:])
-	return nil
-}
-
 // udpPseudoSum is the UDP pseudo-header sum (protocol 17).
 func udpPseudoSum(src, dst [4]byte, udpLen int) uint16 {
 	var b [12]byte

@@ -5,6 +5,19 @@ import (
 	"testing"
 )
 
+// DecodeFromBytes parses a UDP header from b: the reference decoder
+// TestUDPHeaderRoundTrip holds SerializeTo to.
+func (h *UDPHeader) DecodeFromBytes(b []byte) error {
+	if len(b) < UDPHeaderLen {
+		return ErrTruncated
+	}
+	h.SrcPort = getU16(b[0:])
+	h.DstPort = getU16(b[2:])
+	h.Length = getU16(b[4:])
+	h.Checksum = getU16(b[6:])
+	return nil
+}
+
 func TestUDPHeaderRoundTrip(t *testing.T) {
 	h := UDPHeader{SrcPort: 53, DstPort: 1234, Length: 100, Checksum: 0xBEEF}
 	var b [UDPHeaderLen]byte

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# CI gate: vet, build, full test suite, bounded splice-enumerator,
-# splice equality-map (eqAt against its byte loop), PMF-convolution,
-# composed-scoring, Stride composition-law, Stride delta-law, -dir
-# tree, CRC slicing-vs-scalar and census order/A3 fuzz runs, the race
-# detector over the concurrent packages, the workers-determinism
-# guarantees, the CRC engine against its scalar oracle and composed
-# netsim scoring, the census pins, the bench/ harness tests, a
-# one-iteration smoke of the per-algorithm checksum benchmark, and the
-# full-scale paper reproduction diffed against paper_output.txt.
+# CI gate: vet, build, the unlinked-export guard, full test suite,
+# bounded splice-enumerator, splice equality-map (eqAt against its byte
+# loop), PMF-convolution, composed-scoring, Stride composition-law,
+# Stride delta-law, -dir tree, CRC slicing-vs-scalar and census order/A3
+# fuzz runs, the race detector over the concurrent packages, the
+# workers-determinism guarantees, the CRC engine against its scalar
+# oracle and composed netsim scoring, the census pins, the bench/
+# harness tests, a one-iteration smoke of the per-algorithm checksum
+# benchmark, and the full-scale paper reproduction diffed against
+# paper_output.txt.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +17,13 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== unlinked exported functions =="
+# Builds every cmd/*, examples/* and bench binary with inlining off and
+# lists their symbols with go tool nm: an exported function or method
+# under internal/ that no binary links must be deleted, moved into a
+# _test.go file, or listed with its reason in scripts/unlinked.allow.
+scripts/unlinked.sh
 
 echo "== go test =="
 go test ./...
@@ -131,10 +139,10 @@ diff - "$tmp/netsim.dir.shapes" <<'SHAPES' || { echo "netsim -dir shape lines ch
 shape[tcp/drop]: corrupted=4 weakest=tcp(0) tcp=0 crc32=0
 shape[tcp/drop-ge]: corrupted=4 weakest=tcp(0) tcp=0 crc32=0
 shape[tcp/drop-burst]: corrupted=1 weakest=tcp(0) tcp=0 crc32=0
-shape[tcp/dup]: corrupted=54 weakest=tcp(0) tcp=0 crc32=0
+shape[tcp/dup]: corrupted=55 weakest=tcp(0) tcp=0 crc32=0
 SHAPES
-# The per-segment placement lines are pinned the same way.  dup's
-# seg_corrupted=53 < corrupted=54 is the prefix invariant: a delivered
+# The per-segment placement lines are pinned the same way.
+# seg_corrupted <= corrupted is the prefix invariant: a delivered
 # segment is the PDU prefix at the claimed length, so a PDU corrupted
 # only past that prefix counts e2e but not per-segment.
 grep "^placement" "$tmp/netsim.dir" > "$tmp/netsim.dir.placements"
@@ -142,7 +150,7 @@ diff - "$tmp/netsim.dir.placements" <<'PLACEMENTS' || { echo "netsim -dir placem
 placement[tcp/drop]: seg_corrupted=4 tcp=0 f255=0 crc32=0 header=0 trailer=0
 placement[tcp/drop-ge]: seg_corrupted=4 tcp=0 f255=0 crc32=0 header=0 trailer=0
 placement[tcp/drop-burst]: seg_corrupted=1 tcp=0 f255=0 crc32=0 header=0 trailer=0
-placement[tcp/dup]: seg_corrupted=53 tcp=0 f255=0 crc32=0 header=0 trailer=0
+placement[tcp/dup]: seg_corrupted=55 tcp=0 f255=0 crc32=0 header=0 trailer=0
 PLACEMENTS
 
 echo "== netsim -retrans pin (internal/onescomp, -race) =="
@@ -163,7 +171,7 @@ diff - "$tmp/netsim.ret.lines" <<'RETRANS' || { echo "netsim -retrans pin lines 
 retrans[tcp/drop]: cap=8 pdus=106 tcp_tx=111 tcp_resid=0 crc32_tx=111 crc32_resid=0 oracle_tx=111 exhausted=0
 retrans[tcp/drop-ge]: cap=8 pdus=106 tcp_tx=111 tcp_resid=0 crc32_tx=111 crc32_resid=0 oracle_tx=111 exhausted=0
 retrans[tcp/drop-burst]: cap=8 pdus=106 tcp_tx=109 tcp_resid=0 crc32_tx=109 crc32_resid=0 oracle_tx=109 exhausted=0
-retrans[tcp/dup]: cap=8 pdus=106 tcp_tx=221 tcp_resid=0 crc32_tx=221 crc32_resid=0 oracle_tx=221 exhausted=1
+retrans[tcp/dup]: cap=8 pdus=106 tcp_tx=224 tcp_resid=0 crc32_tx=224 crc32_resid=0 oracle_tx=224 exhausted=1
 RETRANS
 
 echo "== netsim -compress pin (internal/onescomp, -race) =="
@@ -175,7 +183,7 @@ echo "== netsim -compress pin (internal/onescomp, -race) =="
 go run -race ./cmd/netsim -dir internal/onescomp -channels drop,drop-ge,drop-burst,dup -trials 2 -workers 2 -compress > "$tmp/netsim.lz"
 grep "^lz payload stage" "$tmp/netsim.lz" > "$tmp/netsim.lz.ratio"
 diff - "$tmp/netsim.lz.ratio" <<'RATIO' || { echo "netsim -compress ratio line changed"; exit 1; }
-lz payload stage: 2 files, 13,295 -> 7,086 bytes, ratio min=47.420% mean=53.298% max=63.550%
+lz payload stage: 2 files, 13,295 -> 7,106 bytes, ratio min=47.848% mean=53.449% max=64.604%
 RATIO
 grep "^shape" "$tmp/netsim.lz" > "$tmp/netsim.lz.shapes"
 diff - "$tmp/netsim.lz.shapes" <<'SHAPES' || { echo "netsim -compress shape lines changed"; exit 1; }
@@ -220,7 +228,7 @@ diff - "$tmp/cksumd.shapes" <<'SHAPES' || { echo "cksumd scrape shape lines diff
 stream[0] shape[tcp/drop]: corrupted=4 weakest=tcp(0) tcp=0 crc32=0
 stream[0] shape[tcp/drop-ge]: corrupted=4 weakest=tcp(0) tcp=0 crc32=0
 stream[0] shape[tcp/drop-burst]: corrupted=1 weakest=tcp(0) tcp=0 crc32=0
-stream[0] shape[tcp/dup]: corrupted=54 weakest=tcp(0) tcp=0 crc32=0
+stream[0] shape[tcp/dup]: corrupted=55 weakest=tcp(0) tcp=0 crc32=0
 SHAPES
 grep -q 'cksumd_trials_total{stream="0",channel="drop"} 4' "$tmp/cksumd.metrics" \
     || { echo "cksumd metrics missing the per-channel trial counter"; kill "$ckpid" 2>/dev/null; exit 1; }
@@ -231,7 +239,7 @@ diff - "$tmp/cksumd.retrans" <<'RETRANS' || { echo "cksumd scrape retrans lines 
 stream[0] retrans[tcp/drop]: cap=8 pdus=106 tcp_tx=111 tcp_resid=0 crc32_tx=111 crc32_resid=0 oracle_tx=111 exhausted=0
 stream[0] retrans[tcp/drop-ge]: cap=8 pdus=106 tcp_tx=111 tcp_resid=0 crc32_tx=111 crc32_resid=0 oracle_tx=111 exhausted=0
 stream[0] retrans[tcp/drop-burst]: cap=8 pdus=106 tcp_tx=109 tcp_resid=0 crc32_tx=109 crc32_resid=0 oracle_tx=109 exhausted=0
-stream[0] retrans[tcp/dup]: cap=8 pdus=106 tcp_tx=221 tcp_resid=0 crc32_tx=221 crc32_resid=0 oracle_tx=221 exhausted=1
+stream[0] retrans[tcp/dup]: cap=8 pdus=106 tcp_tx=224 tcp_resid=0 crc32_tx=224 crc32_resid=0 oracle_tx=224 exhausted=1
 RETRANS
 kill -INT "$ckpid"
 wait "$ckpid" || { echo "cksumd did not exit 0 after SIGINT"; exit 1; }
