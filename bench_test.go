@@ -300,11 +300,11 @@ func BenchmarkExtension_EndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := experiments.EndToEnd(experiments.Config{Scale: 0.3})
 		for _, r := range rows {
-			switch r.Policy {
+			switch r.Name {
 			case "random":
-				b.ReportMetric(float64(r.Stats.DetectedCRC+r.Stats.DetectedChecksum), "random-splice-candidates")
+				b.ReportMetric(float64(r.Pipeline.CRC+r.Pipeline.Checksum), "random-splice-candidates")
 			case "epd":
-				b.ReportMetric(float64(r.Stats.DetectedFraming+r.Stats.DetectedCRC), "epd-damaged-pdus")
+				b.ReportMetric(float64(r.Pipeline.Framing+r.Pipeline.CRC), "epd-damaged-pdus")
 			}
 		}
 	}

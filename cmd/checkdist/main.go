@@ -111,6 +111,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var w corpus.Walker
 	var name string
 	if *dir != "" {
+		if set["profile"] {
+			return usage("-dir and -profile name two corpora; give one")
+		}
+		if set["scale"] {
+			return usage("-scale scales a synthetic profile; it does not apply to -dir")
+		}
 		w, name = corpus.DirWalker(*dir), *dir
 	} else {
 		p, ok := corpus.ByName(*profile)

@@ -103,6 +103,9 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{[]string{"-fig2", "-table5"}, "-fig2 and -table5 are separate runs"},
 		{[]string{"-census", "-window", "96"}, "-census counts bytes; -window does not apply"},
 		{[]string{"-profile", "nosuch"}, `unknown profile "nosuch"`},
+		{[]string{"-dir", ".", "-profile", "nsc05"}, "-dir and -profile name two corpora; give one"},
+		{[]string{"-dir", ".", "-scale", "9"}, "-scale scales a synthetic profile; it does not apply to -dir"},
+		{[]string{"-census", "-dir", ".", "-scale", "9"}, "-scale scales a synthetic profile; it does not apply to -dir"},
 		{[]string{"-x"}, "-x"},
 	} {
 		code, out, errOut := checkdist(t, tc.args...)

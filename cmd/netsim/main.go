@@ -22,8 +22,9 @@
 // the loaded field, so `netsim -scenario audit.json -trials 12` is the
 // profile with a bigger trial budget.
 //
-// -dir scores a real directory tree instead of a synthetic profile.
-// The three drop channels run at a matched 1% average cell-loss rate —
+// -dir scores a real directory tree instead of a synthetic profile;
+// giving it together with -profile, or -scale with a directory corpus,
+// is a usage error (exit 2).  The three drop channels run at a matched 1% average cell-loss rate —
 // i.i.d., Gilbert–Elliott, and geometric burst-of-cells — so the report
 // contrasts correlated against independent loss directly.  -placement
 // selects the checksum placements scored (default both in tcp mode):
@@ -50,8 +51,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -62,41 +65,58 @@ import (
 )
 
 func main() {
-	scenFile := flag.String("scenario", "", "load a scenario profile (JSON); explicit flags override its fields")
-	profile := flag.String("profile", "smeg.stanford.edu:/u1", "synthetic corpus profile (mkcorpus -profiles lists the names)")
-	scale := flag.Float64("scale", 1.0, "corpus scale factor")
-	dir := flag.String("dir", "", "score a real directory tree instead of a synthetic profile")
-	mode := flag.String("mode", "tcp", "transport encoding: tcp (one packet per PDU) or udpfrag (UDP datagrams + IP fragmentation)")
-	channels := flag.String("channels", "", "comma-separated fault channels (default: all of "+strings.Join(netsim.ChannelNames(), ",")+")")
-	placement := flag.String("placement", "", "comma-separated checksum placements (default: all of "+strings.Join(netsim.PlacementNames(), ",")+"; segment applies to tcp mode only)")
-	algos := flag.String("algos", "", "comma-separated algorithm subset to score (default: the full registry); census candidates ("+strings.Join(census.Keys(), ",")+") are registered on demand when named")
-	compress := flag.Bool("compress", false, "lz-compress each corpus file before transport encoding (the Table 7 axis)")
-	retrans := flag.Bool("retrans", false, "close the retransmission loop: retransmit detected corruptions, accept misses, report residual error and goodput")
-	maxretries := flag.Int("maxretries", 0, "retry cap per packet with -retrans (default 8)")
-	trials := flag.Int("trials", 0, "trials per (file × channel) (default 6)")
-	seed := flag.Uint64("seed", 0, "root seed; every trial's fault pattern derives from it")
-	workers := flag.Int("workers", 0, "parallel workers (default GOMAXPROCS; output is identical at any count)")
-	flag.Parse()
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
+// run is the whole command: it parses args into a scenario, runs it
+// under ctx and prints the report, returning the exit status — 0 on
+// success, 1 if the run fails, 2 on a usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("netsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scenFile := fs.String("scenario", "", "load a scenario profile (JSON); explicit flags override its fields")
+	profile := fs.String("profile", "smeg.stanford.edu:/u1", "synthetic corpus profile (mkcorpus -profiles lists the names)")
+	scale := fs.Float64("scale", 1.0, "corpus scale factor")
+	dir := fs.String("dir", "", "score a real directory tree instead of a synthetic profile")
+	mode := fs.String("mode", "tcp", "transport encoding: tcp (one packet per PDU) or udpfrag (UDP datagrams + IP fragmentation)")
+	channels := fs.String("channels", "", "comma-separated fault channels (default: all of "+strings.Join(netsim.ChannelNames(), ",")+")")
+	placement := fs.String("placement", "", "comma-separated checksum placements (default: all of "+strings.Join(netsim.PlacementNames(), ",")+"; segment applies to tcp mode only)")
+	algos := fs.String("algos", "", "comma-separated algorithm subset to score (default: the full registry); census candidates ("+strings.Join(census.Keys(), ",")+") are registered on demand when named")
+	compress := fs.Bool("compress", false, "lz-compress each corpus file before transport encoding (the Table 7 axis)")
+	retrans := fs.Bool("retrans", false, "close the retransmission loop: retransmit detected corruptions, accept misses, report residual error and goodput")
+	maxretries := fs.Int("maxretries", 0, "retry cap per packet with -retrans (default 8)")
+	trials := fs.Int("trials", 0, "trials per (file × channel) (default 6)")
+	seed := fs.Uint64("seed", 0, "root seed; every trial's fault pattern derives from it")
+	workers := fs.Int("workers", 0, "parallel workers (default GOMAXPROCS; output is identical at any count)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "netsim: "+format+"\n", args...)
+		return 2
+	}
 	var sc scenario.Scenario
 	if *scenFile != "" {
 		var err error
 		sc, err = scenario.Load(*scenFile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-			os.Exit(2)
+			return usage("%v", err)
 		}
 	} else {
 		sc = scenario.Scenario{Profile: *profile, Scale: *scale}
 	}
 
 	// Explicit flags win over the loaded profile; -dir and -profile
-	// displace each other, preserving the old "-dir overrides the
-	// default profile" behavior.
-	flag.Visit(func(f *flag.Flag) {
+	// each displace the corpus the scenario names.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
 		switch f.Name {
 		case "profile":
 			sc.Profile, sc.Dir = *profile, ""
@@ -126,19 +146,24 @@ func main() {
 			sc.Workers = *workers
 		}
 	})
+	if set["dir"] && set["profile"] {
+		return usage("-dir and -profile name two corpora; give one")
+	}
+	if sc.Dir != "" && set["scale"] {
+		return usage("-scale scales a synthetic profile; it does not apply to directory %q", sc.Dir)
+	}
 	if err := sc.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-		os.Exit(2)
+		return usage("%v", err)
 	}
 	if _, err := sc.Walker(); err != nil {
-		fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-		os.Exit(2)
+		return usage("%v", err)
 	}
 
 	tally, err := sc.Run(ctx, nil)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "netsim: %v\n", err)
+		return 1
 	}
-	fmt.Print(tally.Report())
+	fmt.Fprint(stdout, tally.Report())
+	return 0
 }

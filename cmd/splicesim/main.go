@@ -92,9 +92,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	opt.Build.NoInvert = *noinvert
 	opt.Build.ZeroIPHeader = *zeroip
 
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	var w corpus.Walker
 	var name string
 	switch {
+	case *dir != "" && *profile != "":
+		return usage("-dir and -profile name two corpora; give one")
+	case *dir != "" && set["scale"]:
+		return usage("-scale scales a synthetic profile; it does not apply to -dir")
 	case *dir != "":
 		w, name = corpus.DirWalker(*dir), *dir
 	case *profile != "":

@@ -66,6 +66,8 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{[]string{"-profile", "nsc05", "-placement", "middle"}, `unknown -placement "middle"`},
 		{[]string{"-profile", "nosuch"}, `unknown profile "nosuch"`},
 		{nil, "one of -profile or -dir is required"},
+		{[]string{"-dir", ".", "-profile", "nsc05"}, "-dir and -profile name two corpora; give one"},
+		{[]string{"-dir", ".", "-scale", "9"}, "-scale scales a synthetic profile; it does not apply to -dir"},
 		{[]string{"-x"}, "-x"},
 	} {
 		code, out, errOut := splicesim(t, tc.args...)

@@ -8,49 +8,77 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"math"
 
+	"realsum/internal/algo"
 	"realsum/internal/lossim"
+	"realsum/internal/netsim"
 	"realsum/internal/report"
-	"realsum/internal/tcpip"
 )
+
+// transfer is a one-file corpus: the whole transfer as a single file,
+// which netsim cuts into 256-byte TCP segments.
+type transfer []byte
+
+// Walk implements corpus.Walker.
+func (t transfer) Walk(fn func(path string, data []byte) error) error {
+	return fn("transfer", t)
+}
 
 func main() {
 	// A transfer of zero-heavy data — the kind the paper shows is most
 	// splice-prone.
-	flow := tcpip.NewLoopbackFlow(tcpip.BuildOptions{})
-	var packets [][]byte
-	for i := 0; i < 4000; i++ {
-		payload := make([]byte, 256)
-		for j := 0; j+2 <= len(payload); j += 32 {
+	const packets, segment = 4000, 256
+	data := make(transfer, packets*segment)
+	for i := 0; i < packets; i++ {
+		payload := data[i*segment:][:segment]
+		for j := 0; j+2 <= segment; j += 32 {
 			payload[j+1] = 1 // sparse counters, gmon.out-style
 		}
-		payload[i%256] = byte(i)
-		packets = append(packets, flow.NextPacket(nil, payload))
+		payload[i%segment] = byte(i)
 	}
 
 	const cellLoss = 0.12
-	pktLoss := 1 - pow(1-cellLoss, 7) // matched severity for EPD
+	pktLoss := 1 - math.Pow(1-cellLoss, 7) // matched severity for EPD
 
-	fmt.Printf("transfer: %d packets of 256 bytes (7 cells each), %.0f%% cell loss\n\n",
-		len(packets), 100*cellLoss)
+	fmt.Printf("transfer: %d packets of %d bytes (7 cells each), %.0f%% cell loss\n\n",
+		packets, segment, 100*cellLoss)
+
+	var chans []netsim.ChannelSpec
+	for _, mk := range []func() lossim.Policy{
+		func() lossim.Policy { return lossim.RandomLoss{P: cellLoss} },
+		func() lossim.Policy { return lossim.GilbertElliottAt(cellLoss, 5, 0.02, 0.8) },
+		func() lossim.Policy { return lossim.BurstDropAt(cellLoss, 4) },
+		func() lossim.Policy { return &lossim.PPD{P: cellLoss} },
+		func() lossim.Policy { return &lossim.EPD{PacketP: pktLoss} },
+	} {
+		chans = append(chans, netsim.ChannelSpec{Name: mk().Name(), New: func() netsim.Channel {
+			return &netsim.DropChannel{Policy: mk()}
+		}})
+	}
+	tally, err := netsim.Run(context.Background(), data, netsim.Config{
+		Trials:     1,
+		Seed:       0xCE11,
+		Channels:   chans,
+		Algorithms: []algo.Algorithm{algo.MustLookup("tcp")},
+		Placements: []netsim.Placement{netsim.PlaceE2E},
+	})
+	if err != nil {
+		panic(err)
+	}
 
 	t := report.Table{
 		Headers: []string{"policy", "intact", "clean-lost", "len/framing", "CRC", "hdr", "cksum", "undetected"},
 	}
-	for _, pol := range []lossim.Policy{
-		lossim.RandomLoss{P: cellLoss},
-		lossim.GilbertElliottAt(cellLoss, 5, 0.02, 0.8),
-		lossim.BurstDropAt(cellLoss, 4),
-		&lossim.PPD{P: cellLoss},
-		&lossim.EPD{PacketP: pktLoss},
-	} {
-		s := lossim.Run(packets, pol, tcpip.BuildOptions{}, 0xCE11)
-		t.AddRow(pol.Name(),
-			report.Count(s.Intact), report.Count(s.CleanLost),
-			report.Count(s.DetectedFraming), report.Count(s.DetectedCRC),
-			report.Count(s.DetectedHeader), report.Count(s.DetectedChecksum),
-			report.Count(s.Undetected))
+	for _, c := range tally.Channels {
+		p := c.Pipeline
+		t.AddRow(c.Name,
+			report.Count(p.Accepted), report.Count(c.Lost),
+			report.Count(p.Framing), report.Count(p.CRC),
+			report.Count(p.Header), report.Count(p.Checksum),
+			report.Count(p.AcceptedCorrupt))
 	}
 	fmt.Print(t.Render())
 
@@ -71,12 +99,4 @@ reading the table:
            if all preceding cells have been delivered").
   epd    — packets are dropped whole: damage simply cannot reach the
            receiver, so checksums only ever see intact packets.`)
-}
-
-func pow(x float64, n int) float64 {
-	out := 1.0
-	for i := 0; i < n; i++ {
-		out *= x
-	}
-	return out
 }

@@ -29,8 +29,8 @@ func main() {
 	p1 := flow.NextPacket(nil, payload(0))
 	p2 := flow.NextPacket(nil, payload(0))
 
-	cells1, _ := atm.Segment(p1, 0, 32)
-	cells2, _ := atm.Segment(p2, 0, 32)
+	cells1, _ := atm.AppendSegment(nil, p1, 0, 32)
+	cells2, _ := atm.AppendSegment(nil, p2, 0, 32)
 	fmt.Printf("packet 1: %d bytes -> %d cells\n", len(p1), len(cells1))
 	fmt.Printf("packet 2: %d bytes -> %d cells\n\n", len(p2), len(cells2))
 

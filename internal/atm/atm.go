@@ -96,17 +96,13 @@ func CellCount(n int) int {
 	return (n + TrailerSize + PayloadSize - 1) / PayloadSize
 }
 
-// Segment builds the AAL5 cell sequence carrying sdu on the given
-// virtual circuit.  The last cell has the end-of-packet PTI bit set and
-// its final 8 bytes hold the CPCS trailer; all padding is zero.
-func Segment(sdu []byte, vpi uint8, vci uint16) ([]Cell, error) {
-	return AppendSegment(nil, sdu, vpi, vci)
-}
-
-// AppendSegment appends the AAL5 cell sequence carrying sdu to cells
-// and returns the extended slice.  It reuses the slice's capacity and
-// performs no other allocation, so a caller segmenting a packet stream
-// (the splice enumerator's steady state) can recycle one buffer.
+// AppendSegment appends the AAL5 cell sequence carrying sdu on the
+// given virtual circuit to cells and returns the extended slice.  The
+// last cell has the end-of-packet PTI bit set and its final 8 bytes
+// hold the CPCS trailer; all padding is zero.  It reuses the slice's
+// capacity and performs no other allocation, so a caller segmenting a
+// packet stream (the splice enumerator's steady state) can recycle one
+// buffer.
 func AppendSegment(cells []Cell, sdu []byte, vpi uint8, vci uint16) ([]Cell, error) {
 	if len(sdu) > MaxSDU {
 		return cells, ErrTooLong

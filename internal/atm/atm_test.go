@@ -32,7 +32,7 @@ func TestSegmentReassembleRoundTrip(t *testing.T) {
 		for i := range sdu {
 			sdu[i] = byte(rng.Uint32())
 		}
-		cells, err := Segment(sdu, 0, 32)
+		cells, err := AppendSegment(nil, sdu, 0, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,14 +55,14 @@ func TestSegmentReassembleRoundTrip(t *testing.T) {
 }
 
 func TestSegmentTooLong(t *testing.T) {
-	if _, err := Segment(make([]byte, MaxSDU+1), 0, 1); err != ErrTooLong {
+	if _, err := AppendSegment(nil, make([]byte, MaxSDU+1), 0, 1); err != ErrTooLong {
 		t.Errorf("got %v, want ErrTooLong", err)
 	}
 }
 
 func TestReassembleRejectsFraming(t *testing.T) {
 	sdu := make([]byte, 296)
-	cells, _ := Segment(sdu, 0, 32)
+	cells, _ := AppendSegment(nil, sdu, 0, 32)
 
 	if _, err := Reassemble(nil); err != ErrNoCells {
 		t.Errorf("empty: %v", err)
@@ -97,7 +97,7 @@ func TestCheckFramingMatchesReassemble(t *testing.T) {
 	for i := range sdu {
 		sdu[i] = byte(i * 3)
 	}
-	cells, _ := Segment(sdu, 1, 2)
+	cells, _ := AppendSegment(nil, sdu, 1, 2)
 	tr, err := CheckFraming(cells)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestSpliceOfWholeCellsDetectedByLengthOrCRC(t *testing.T) {
 		for i := range sdu {
 			sdu[i] = fill
 		}
-		cells, err := Segment(sdu, 0, 5)
+		cells, err := AppendSegment(nil, sdu, 0, 5)
 		if err != nil || len(cells) != 4 {
 			t.Fatalf("setup: %v (%d cells)", err, len(cells))
 		}
@@ -134,9 +134,9 @@ func TestSpliceOfWholeCellsDetectedByLengthOrCRC(t *testing.T) {
 }
 
 func TestReassembleZeroLengthSDU(t *testing.T) {
-	cells, err := Segment(nil, 0, 1)
+	cells, err := AppendSegment(nil, nil, 0, 1)
 	if err != nil || len(cells) != 1 {
-		t.Fatalf("Segment(nil): %v, %d cells", err, len(cells))
+		t.Fatalf("AppendSegment(nil, nil): %v, %d cells", err, len(cells))
 	}
 	out, err := Reassemble(cells)
 	if err != nil || len(out) != 0 {

@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzSegmentReassemble checks the round-trip invariant for arbitrary
-// SDUs: Segment always produces a framing-valid cell sequence whose
+// SDUs: AppendSegment always produces a framing-valid cell sequence whose
 // Reassemble returns the exact input.  Run with `go test -fuzz
 // FuzzSegmentReassemble ./internal/atm` to explore; the seed corpus
 // runs in normal test mode.
@@ -21,9 +21,9 @@ func FuzzSegmentReassemble(f *testing.F) {
 		if len(sdu) > MaxSDU {
 			sdu = sdu[:MaxSDU]
 		}
-		cells, err := Segment(sdu, 3, 77)
+		cells, err := AppendSegment(nil, sdu, 3, 77)
 		if err != nil {
-			t.Fatalf("Segment: %v", err)
+			t.Fatalf("AppendSegment: %v", err)
 		}
 		if len(cells) != CellCount(len(sdu)) {
 			t.Fatalf("cell count %d, want %d", len(cells), CellCount(len(sdu)))

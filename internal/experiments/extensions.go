@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"realsum/internal/algo"
 	"realsum/internal/corpus"
 	"realsum/internal/dist"
 	"realsum/internal/ipfrag"
 	"realsum/internal/lossim"
+	"realsum/internal/netsim"
 	"realsum/internal/report"
 	"realsum/internal/sim"
 	"realsum/internal/tcpip"
@@ -18,71 +20,58 @@ import (
 // discard policies, and how the checksum generation that followed
 // (Adler-32) fares on the same data.
 
-// EndToEndRow is one loss policy's receiver-side outcome.
-type EndToEndRow struct {
-	Policy string
-	Stats  lossim.Stats
-}
-
-// EndToEnd transmits a zero-heavy corpus stream through three loss
-// policies at equal underlying severity and reports what the receiver
-// saw — §7's argument that Early Packet Discard removes the splice
-// threat entirely, executed.
-func EndToEnd(cfg Config) []EndToEndRow {
+// EndToEnd transmits a zero-heavy corpus through three loss policies
+// at equal underlying severity on netsim's layered AAL5/TCP receiver
+// and returns one channel tally per policy — §7's argument that Early
+// Packet Discard removes the splice threat entirely, executed.
+func EndToEnd(cfg Config) []netsim.ChannelTally {
 	p := corpus.SICSOpt().Scale(cfg.scale() * 0.3)
 	p.Seed ^= cfg.Seed
-	fs := p.Build()
-	opts := tcpip.BuildOptions{}
-	flow := tcpip.NewLoopbackFlow(opts)
-	var packets [][]byte
-	fs.Walk(func(path string, data []byte) error {
-		for off := 0; off < len(data); off += 256 {
-			end := off + 256
-			if end > len(data) {
-				end = len(data)
-			}
-			packets = append(packets, flow.NextPacket(nil, data[off:end]))
-		}
-		return nil
-	})
 
 	const cellLoss = 0.03
 	// A 256-byte packet spans 7 cells; EPD's whole-packet probability
 	// matching the same per-cell process is 1−(1−p)^7.
-	pktLoss := 1.0
-	for i := 0; i < 7; i++ {
-		pktLoss *= 1 - cellLoss
+	pktLoss := 1 - math.Pow(1-cellLoss, 7)
+	policy := func(name string, pol func() lossim.Policy) netsim.ChannelSpec {
+		return netsim.ChannelSpec{Name: name, New: func() netsim.Channel {
+			return &netsim.DropChannel{Policy: pol()}
+		}}
 	}
-	pktLoss = 1 - pktLoss
-
-	var out []EndToEndRow
-	for _, pol := range []lossim.Policy{
-		lossim.RandomLoss{P: cellLoss},
-		&lossim.PPD{P: cellLoss},
-		&lossim.EPD{PacketP: pktLoss},
-	} {
-		out = append(out, EndToEndRow{
-			Policy: pol.Name(),
-			Stats:  lossim.Run(packets, pol, opts, 0xE2E^cfg.Seed),
-		})
+	tally, err := netsim.Run(cfg.ctx(), p.Build(), netsim.Config{
+		Trials: 1,
+		Seed:   0xE2E ^ cfg.Seed,
+		Channels: []netsim.ChannelSpec{
+			policy("random", func() lossim.Policy { return lossim.RandomLoss{P: cellLoss} }),
+			policy("ppd", func() lossim.Policy { return &lossim.PPD{P: cellLoss} }),
+			policy("epd", func() lossim.Policy { return &lossim.EPD{PacketP: pktLoss} }),
+		},
+		Algorithms: []algo.Algorithm{algo.MustLookup("tcp")},
+		Placements: []netsim.Placement{netsim.PlaceE2E},
+		Workers:    cfg.Workers,
+		Progress:   cfg.Progress,
+	})
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return tally.Channels
 }
 
-// EndToEndReport renders the policy comparison.
-func EndToEndReport(rows []EndToEndRow) string {
+// EndToEndReport renders the policy comparison: each channel's packets
+// sent, the candidates its receiver accepted intact, the packets whose
+// trailer never arrived, and the candidates each check rejected first.
+func EndToEndReport(rows []netsim.ChannelTally) string {
 	t := report.Table{
 		Title: "§7 extension: receiver outcomes under cell-loss policies (3% cell loss)",
 		Headers: []string{"policy", "sent", "intact", "clean-lost",
 			"framing", "CRC", "header", "checksum", "undetected"},
 	}
 	for _, r := range rows {
-		s := r.Stats
-		t.AddRow(r.Policy,
-			report.Count(s.PacketsSent), report.Count(s.Intact), report.Count(s.CleanLost),
-			report.Count(s.DetectedFraming), report.Count(s.DetectedCRC),
-			report.Count(s.DetectedHeader), report.Count(s.DetectedChecksum),
-			report.Count(s.Undetected))
+		p := r.Pipeline
+		t.AddRow(r.Name,
+			report.Count(r.PacketsSent), report.Count(p.Accepted), report.Count(r.Lost),
+			report.Count(p.Framing), report.Count(p.CRC),
+			report.Count(p.Header), report.Count(p.Checksum),
+			report.Count(p.AcceptedCorrupt))
 	}
 	return t.Render()
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"realsum/internal/netsim"
 )
 
 func TestEndToEndPolicies(t *testing.T) {
@@ -10,36 +12,49 @@ func TestEndToEndPolicies(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	byName := map[string]int{}
-	for i, r := range rows {
-		byName[r.Policy] = i
-		if r.Stats.PacketsSent == 0 {
-			t.Fatalf("%s: nothing sent", r.Policy)
+	byName := map[string]netsim.ChannelTally{}
+	for _, r := range rows {
+		byName[r.Name] = r
+		p := r.Pipeline
+		if r.PacketsSent == 0 {
+			t.Fatalf("%s: nothing sent", r.Name)
 		}
-		if r.Stats.Undetected != 0 {
-			t.Errorf("%s: undetected corruption with CRC backstop: %d", r.Policy, r.Stats.Undetected)
+		if p.AcceptedCorrupt != 0 {
+			t.Errorf("%s: undetected corruption with CRC backstop: %d", r.Name, p.AcceptedCorrupt)
+		}
+		if got := p.Accepted + p.AcceptedCorrupt + p.Framing + p.CRC + p.Header + p.Checksum + r.Lost; got != r.PacketsSent {
+			t.Errorf("%s: outcomes sum to %d, sent %d", r.Name, got, r.PacketsSent)
 		}
 	}
-	rnd := rows[byName["random"]].Stats
-	ppd := rows[byName["ppd"]].Stats
-	epd := rows[byName["epd"]].Stats
+	rnd, ppd, epd := byName["random"].Pipeline, byName["ppd"].Pipeline, byName["epd"].Pipeline
 
 	// Random loss leaves damage for CRC/checksum layers; PPD moves it
 	// to framing; EPD leaves no damage at all.
-	if rnd.DetectedFraming == 0 {
+	if rnd.Framing == 0 {
 		t.Error("random loss should produce framing-detected damage")
 	}
-	if ppd.DetectedCRC != 0 {
-		t.Errorf("PPD should leave nothing for the CRC: %d", ppd.DetectedCRC)
+	if ppd.CRC != 0 {
+		t.Errorf("PPD should leave nothing for the CRC: %d", ppd.CRC)
 	}
-	if epd.DetectedFraming+epd.DetectedCRC+epd.DetectedHeader+epd.DetectedChecksum != 0 {
+	if epd.Framing+epd.CRC+epd.Header+epd.Checksum != 0 {
 		t.Error("EPD should deliver only intact packets")
 	}
-	if epd.CleanLost == 0 {
+	if byName["epd"].Lost == 0 {
 		t.Error("EPD at matched severity should lose whole packets")
 	}
 	if !strings.Contains(EndToEndReport(rows), "epd") {
 		t.Error("report malformed")
+	}
+}
+
+// TestEndToEndWorkersDeterministic holds the end-to-end policy table to
+// the worker-count contract: the report is byte-identical at 1 and 4
+// workers.
+func TestEndToEndWorkersDeterministic(t *testing.T) {
+	w1 := EndToEndReport(EndToEnd(Config{Scale: 0.1, Workers: 1}))
+	w4 := EndToEndReport(EndToEnd(Config{Scale: 0.1, Workers: 4}))
+	if w1 != w4 {
+		t.Errorf("workers 1 vs 4 differ:\n%s\nvs\n%s", w1, w4)
 	}
 }
 

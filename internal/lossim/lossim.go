@@ -1,36 +1,30 @@
-// Package lossim simulates an ATM link that loses cells, and measures
-// what a standard AAL5/TCP receiver makes of the survivors — the
-// end-to-end counterpart of the exhaustive splice enumeration, and the
-// executable form of §7's "good news":
+// Package lossim holds the cell-loss policies of an ATM link with
+// switch-side discard behaviour — the loss processes behind §7's "good
+// news":
 //
-//   - under plain random cell loss, adjacent-packet splices reach the
-//     reassembler and occasionally pass every check;
-//   - Partial Packet Discard (drop the rest of a damaged packet but
-//     let its marked trailer cell through) turns almost every splice
-//     into a detectable length error;
-//   - Early Packet Discard (drop whole packets at the switch) produces
-//     clean losses only — no splice can ever form.
+//   - under plain random cell loss (RandomLoss), adjacent-packet
+//     splices reach the reassembler and occasionally pass every check;
+//   - Partial Packet Discard (PPD: drop the rest of a damaged packet,
+//     trailer included) turns almost every splice into a detectable
+//     length error;
+//   - Early Packet Discard (EPD: drop whole packets at the switch)
+//     produces clean losses only — no splice can ever form;
+//   - GilbertElliott and BurstDrop lose cells in correlated runs at a
+//     matched average rate.
 //
-// The receiver applies exactly the layered checks of the paper: AAL5
-// framing and length, the TCP/IP header battery, the AAL5 CRC-32 and
-// the transport checksum.
+// netsim.DropChannel drives a policy over a cell train and its layered
+// AAL5/TCP receiver classifies what survives.
 package lossim
 
-import (
-	"hash/fnv"
-	"math/rand/v2"
-
-	"realsum/internal/atm"
-	"realsum/internal/tcpip"
-)
+import "math/rand/v2"
 
 // Policy models a cell-loss process with switch-side discard behaviour.
 //
 // State contract.  A policy may carry two kinds of mutable state, with
 // distinct reset points the caller drives:
 //
-//   - Stream state lives for a whole cell stream (one lossim.Run, one
-//     netsim trial) and is (re)initialised only in StartStream.  The
+//   - Stream state lives for a whole cell stream (one netsim trial)
+//     and is (re)initialised only in StartStream.  The
 //     Gilbert–Elliott channel condition and the BurstDrop run latch are
 //     stream state: their whole point is that losses stay correlated
 //     *across* packet boundaries, exactly as a fading link doesn't
@@ -242,95 +236,4 @@ func BurstDropAt(rate, meanRun float64) *BurstDrop {
 	}
 	r := 1 - 1/meanRun
 	return &BurstDrop{Start: rate * (1 - r) / (1 - rate*r), Continue: r}
-}
-
-// Stats aggregates one run.
-type Stats struct {
-	PacketsSent  uint64
-	CellsSent    uint64
-	CellsDropped uint64
-
-	// Reassembly outcomes, one per delivered trailer cell.
-	Intact           uint64 // accepted, byte-identical to a sent packet
-	DetectedFraming  uint64 // AAL5 length/marking checks fired
-	DetectedCRC      uint64 // AAL5 CRC-32 fired
-	DetectedHeader   uint64 // TCP/IP header battery fired
-	DetectedChecksum uint64 // transport checksum fired
-	Undetected       uint64 // accepted, but matches no sent packet
-	CleanLost        uint64 // packets whose trailer never arrived
-}
-
-// Run transmits the packets (complete IPv4 packets built under opts)
-// as AAL5 cell streams through the loss policy and collects the
-// receiver-side statistics.  Deterministic for a given seed.
-func Run(packets [][]byte, policy Policy, opts tcpip.BuildOptions, seed uint64) Stats {
-	rng := rand.New(rand.NewPCG(seed, 0x10551))
-	var st Stats
-
-	sent := make(map[uint64]bool, len(packets))
-	hashOf := func(b []byte) uint64 {
-		h := fnv.New64a()
-		h.Write(b)
-		return h.Sum64()
-	}
-	for _, p := range packets {
-		sent[hashOf(p)] = true
-	}
-
-	var buf []atm.Cell
-	trailersDelivered := uint64(0)
-	policy.StartStream(rng)
-	for _, pkt := range packets {
-		cells, err := atm.Segment(pkt, 0, 32)
-		if err != nil {
-			continue
-		}
-		st.PacketsSent++
-		policy.StartPacket(rng)
-		for i := range cells {
-			st.CellsSent++
-			eop := cells[i].Header.EndOfPacket()
-			if policy.Drop(rng, eop) {
-				st.CellsDropped++
-				continue
-			}
-			buf = append(buf, cells[i])
-			if !eop {
-				continue
-			}
-			trailersDelivered++
-			st.classify(buf, sent, hashOf, opts)
-			buf = buf[:0]
-		}
-	}
-	st.CleanLost = st.PacketsSent - trailersDelivered
-	return st
-}
-
-// classify runs the receiver checks on one reassembly buffer.
-func (st *Stats) classify(cells []atm.Cell, sent map[uint64]bool, hashOf func([]byte) uint64, opts tcpip.BuildOptions) {
-	tr, err := atm.CheckFraming(cells)
-	if err != nil {
-		st.DetectedFraming++
-		return
-	}
-	sdu, err := atm.Reassemble(cells)
-	if err != nil {
-		st.DetectedCRC++
-		return
-	}
-	_ = tr
-	if err := tcpip.ValidateHeaders(sdu, opts); err != nil {
-		st.DetectedHeader++
-		return
-	}
-	if !tcpip.VerifyPacket(sdu, opts) {
-		st.DetectedChecksum++
-		return
-	}
-	if sent[hashOf(sdu)] {
-		st.Intact++
-	} else {
-		st.Undetected++
-	}
 }

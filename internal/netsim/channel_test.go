@@ -3,9 +3,11 @@ package netsim
 import (
 	"context"
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"testing"
 
+	"realsum/internal/algo"
 	"realsum/internal/atm"
 	"realsum/internal/errmodel"
 	"realsum/internal/lossim"
@@ -299,6 +301,157 @@ func TestDropChannelTrialPurity(t *testing.T) {
 	full := makeStream(t, 600, 600, 600, 600)
 	if len(c1) >= full.Len() {
 		t.Error("20% correlated loss dropped nothing; purity test is vacuous")
+	}
+}
+
+// sparseCounters is a transfer of n 256-byte segments shaped like a
+// gmon.out profile: zero bytes with a counter every 32 bytes, plus one
+// random byte per segment so no two segments are alike.
+func sparseCounters(n int, seed uint64) []byte {
+	rng := rand.New(rand.NewPCG(seed, seed))
+	data := make([]byte, 256*n)
+	for k := 0; k < n; k++ {
+		seg := data[256*k:][:256]
+		for i := 0; i+2 <= len(seg); i += 32 {
+			seg[i+1] = 1
+		}
+		seg[rng.IntN(len(seg))] = byte(rng.Uint32())
+	}
+	return data
+}
+
+// TestDropChannelPolicies runs each lossim policy through DropChannel
+// and the layered AAL5/TCP receiver over one transfer, and
+// checks §7's receiver-side story: lossless and total-loss extremes,
+// random loss leaving detected damage, PPD moving all damage to the
+// framing check, EPD producing clean losses only, the correlated
+// policies losing packets without undetected corruption, and heavy
+// random loss forming splice candidates that pass framing and headers
+// (the precursors Tables 1–3 count).  Every row checks that the
+// receiver outcomes and the clean losses partition the packets sent,
+// and that a rerun from the same seed reproduces the tally.
+func TestDropChannelPolicies(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		packets, trials int
+		policy          func() lossim.Policy
+		check           func(c *ChannelTally, p PipelineTally) string
+	}{
+		{"lossless", 50, 1, func() lossim.Policy { return lossim.RandomLoss{P: 0} },
+			func(c *ChannelTally, p PipelineTally) string {
+				if p.Accepted != 50 || c.Lost != 0 || c.CellsDelivered != c.CellsSent {
+					return "lossless run must deliver every packet intact"
+				}
+				return ""
+			}},
+		{"total-loss", 20, 1, func() lossim.Policy { return lossim.RandomLoss{P: 1} },
+			func(c *ChannelTally, p PipelineTally) string {
+				if c.Lost != 20 || c.CellsDelivered != 0 {
+					return "total loss must deliver nothing"
+				}
+				return ""
+			}},
+		{"random", 400, 1, func() lossim.Policy { return lossim.RandomLoss{P: 0.05} },
+			func(c *ChannelTally, p PipelineTally) string {
+				if p.Framing+p.CRC+p.Header+p.Checksum == 0 {
+					return "5% cell loss should produce detectable damage"
+				}
+				if p.Accepted == 0 {
+					return "most packets should still arrive intact"
+				}
+				return ""
+			}},
+		// §7: with PPD a trailer is only delivered when all preceding
+		// cells of its packet were delivered, so candidates either
+		// reassemble exactly or carry stranded prefix cells that fail
+		// the length check — the CRC and checksum are never consulted.
+		{"ppd", 400, 1, func() lossim.Policy { return &lossim.PPD{P: 0.05} },
+			func(c *ChannelTally, p PipelineTally) string {
+				if p.CRC != 0 || p.Header != 0 || p.Checksum != 0 {
+					return "PPD must leave nothing past the framing check"
+				}
+				if p.Framing == 0 {
+					return "PPD should produce framing-detected partial packets"
+				}
+				// A rejected candidate carries the stranded prefix of a
+				// lost packet; random loss rejects mostly packets that
+				// lost a data cell and kept their trailer.
+				if p.Framing > c.Lost {
+					return "PPD framing rejections outnumber the lost packets whose prefixes they carry"
+				}
+				return ""
+			}},
+		{"epd", 400, 1, func() lossim.Policy { return &lossim.EPD{PacketP: 0.2} },
+			func(c *ChannelTally, p PipelineTally) string {
+				if p.Framing+p.CRC+p.Header+p.Checksum != 0 {
+					return "EPD must never deliver a damaged PDU"
+				}
+				if c.Lost == 0 || p.Accepted == 0 {
+					return "EPD at 20% should both lose and deliver packets"
+				}
+				return ""
+			}},
+		{"ge", 400, 1, func() lossim.Policy { return lossim.GilbertElliottAt(0.03, 5, 0.002, 0.402) },
+			func(c *ChannelTally, p PipelineTally) string {
+				if c.CellsDelivered == c.CellsSent || c.Lost == 0 || p.Accepted == 0 {
+					return "3% correlated loss should both lose and deliver packets"
+				}
+				return ""
+			}},
+		{"burstdrop", 400, 1, func() lossim.Policy { return lossim.BurstDropAt(0.03, 4) },
+			func(c *ChannelTally, p PipelineTally) string {
+				if c.CellsDelivered == c.CellsSent || c.Lost == 0 || p.Accepted == 0 {
+					return "3% burst loss should both lose and deliver packets"
+				}
+				return ""
+			}},
+		// Heavy random loss forms candidates that pass framing and the
+		// header battery and are caught only by the CRC or the transport
+		// checksum: the splices Tables 1–3 enumerate.  They are rare —
+		// about one per three 3000-packet trials — so the row runs 20.
+		{"splice-precursor", 3000, 20, func() lossim.Policy { return lossim.RandomLoss{P: 0.12} },
+			func(c *ChannelTally, p PipelineTally) string {
+				if p.CRC+p.Checksum == 0 {
+					return "no splice candidate survived framing and headers at 12% loss"
+				}
+				return ""
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := sliceWalker{files: [][]byte{sparseCounters(tc.packets, 1)}}
+			run := func() ChannelTally {
+				tally, err := Run(context.Background(), w, Config{
+					Trials:     tc.trials,
+					Seed:       7,
+					Channels:   []ChannelSpec{{Name: tc.name, New: func() Channel { return &DropChannel{Policy: tc.policy()} }}},
+					Algorithms: []algo.Algorithm{algo.MustLookup("tcp")},
+					Placements: []Placement{PlaceE2E},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tally.Channels[0]
+			}
+			c := run()
+			p := c.Pipeline
+			if want := uint64(tc.packets * tc.trials); c.PacketsSent != want {
+				t.Fatalf("sent %d packets, want %d", c.PacketsSent, want)
+			}
+			if got := p.Accepted + p.AcceptedCorrupt + p.Framing + p.CRC + p.Header + p.Checksum + c.Lost; got != c.PacketsSent {
+				t.Errorf("outcomes %+v and %d lost sum to %d, sent %d", p, c.Lost, got, c.PacketsSent)
+			}
+			// The AAL5 CRC-32 backstop makes undetected corruption
+			// essentially impossible at these sample sizes.
+			if p.AcceptedCorrupt != 0 {
+				t.Errorf("undetected corruption with the CRC on: %d", p.AcceptedCorrupt)
+			}
+			if msg := tc.check(&c, p); msg != "" {
+				t.Errorf("%s: %+v, lost %d", msg, p, c.Lost)
+			}
+			if again := run(); !reflect.DeepEqual(c, again) {
+				t.Errorf("rerun from the same seed differs: %+v vs %+v", c, again)
+			}
+		})
 	}
 }
 

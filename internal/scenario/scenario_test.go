@@ -44,7 +44,7 @@ func TestLoadGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sc.Name != "onescomp-audit" || sc.Dir != "../../internal/onescomp" {
+		if sc.Name != "onescomp-audit" || sc.Dir != "../../testdata/netcorpus" {
 			t.Errorf("name/dir = %q/%q", sc.Name, sc.Dir)
 		}
 		cfg, err := sc.Config()

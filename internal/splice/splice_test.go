@@ -19,8 +19,8 @@ import (
 var refCRC = crc.New(crc.CRC32)
 
 func refEnumerate(p1, p2 []byte, cfg Config) Counts {
-	cells1, err1 := atm.Segment(p1, 0, 32)
-	cells2, err2 := atm.Segment(p2, 0, 32)
+	cells1, err1 := atm.AppendSegment(nil, p1, 0, 32)
+	cells2, err2 := atm.AppendSegment(nil, p2, 0, 32)
 	if err1 != nil || err2 != nil {
 		return Counts{}
 	}

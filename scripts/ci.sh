@@ -127,13 +127,12 @@ grep -q "residual error vs miss rate, i.i.d. vs correlated loss at matched rate"
 grep -q "^retrans\[tcp/drop\]" "$tmp/netsim.w1" \
     || { echo "netsim report missing the retrans pin lines"; exit 1; }
 
-echo "== netsim -dir corpus walk pin (internal/onescomp, -race) =="
-# A real-directory-tree run over a small stable in-repo tree, with its
-# shape lines pinned: any regression in the corpus walk, the sender
-# packetization, or the trial seed chain shows up as a diff here.  The
-# pinned numbers change whenever internal/onescomp's files change —
-# update them alongside.
-go run -race ./cmd/netsim -dir internal/onescomp -channels drop,drop-ge,drop-burst,dup -trials 2 -workers 2 > "$tmp/netsim.dir"
+echo "== netsim -dir corpus walk pin (testdata/netcorpus, -race) =="
+# A real-directory-tree run over a small frozen in-repo tree (a byte
+# copy of internal/onescomp's source files that no code change touches),
+# with its shape lines pinned: any regression in the corpus walk, the
+# sender packetization, or the trial seed chain shows up as a diff here.
+go run -race ./cmd/netsim -dir testdata/netcorpus -channels drop,drop-ge,drop-burst,dup -trials 2 -workers 2 > "$tmp/netsim.dir"
 grep "^shape" "$tmp/netsim.dir" > "$tmp/netsim.dir.shapes"
 diff - "$tmp/netsim.dir.shapes" <<'SHAPES' || { echo "netsim -dir shape lines changed"; exit 1; }
 shape[tcp/drop]: corrupted=4 weakest=tcp(0) tcp=0 crc32=0
@@ -153,7 +152,7 @@ placement[tcp/drop-burst]: seg_corrupted=1 tcp=0 f255=0 crc32=0 header=0 trailer
 placement[tcp/dup]: seg_corrupted=55 tcp=0 f255=0 crc32=0 header=0 trailer=0
 PLACEMENTS
 
-echo "== netsim -retrans pin (internal/onescomp, -race) =="
+echo "== netsim -retrans pin (testdata/netcorpus, -race) =="
 # The same walk with the retransmission loop closed.  Two things are
 # pinned: the shape/placement lines must be byte-identical to the
 # open-loop pins above (retry channel rolls come from the RetrySeed
@@ -161,7 +160,7 @@ echo "== netsim -retrans pin (internal/onescomp, -race) =="
 # open-loop counter), and the retrans[...] lines themselves — per
 # channel, the tcp/crc32/oracle transmission counts, residual bytes and
 # cap-exhausted PDUs.
-go run -race ./cmd/netsim -dir internal/onescomp -channels drop,drop-ge,drop-burst,dup -trials 2 -workers 2 -retrans > "$tmp/netsim.ret"
+go run -race ./cmd/netsim -dir testdata/netcorpus -channels drop,drop-ge,drop-burst,dup -trials 2 -workers 2 -retrans > "$tmp/netsim.ret"
 grep -E "^(shape|placement)" "$tmp/netsim.ret" > "$tmp/netsim.ret.open"
 grep -E "^(shape|placement)" "$tmp/netsim.dir" > "$tmp/netsim.dir.open"
 diff "$tmp/netsim.dir.open" "$tmp/netsim.ret.open" \
@@ -174,13 +173,13 @@ retrans[tcp/drop-burst]: cap=8 pdus=106 tcp_tx=109 tcp_resid=0 crc32_tx=109 crc3
 retrans[tcp/dup]: cap=8 pdus=106 tcp_tx=224 tcp_resid=0 crc32_tx=224 crc32_resid=0 oracle_tx=224 exhausted=1
 RETRANS
 
-echo "== netsim -compress pin (internal/onescomp, -race) =="
+echo "== netsim -compress pin (testdata/netcorpus, -race) =="
 # The same walk with the lz payload stage on: the compressed payloads
 # are roughly half the size (fewer cells per file, hence the lower
 # counts), the labels gain the +lz suffix, and the ratio line in the
 # header is pinned too — any drift in the compressor's output bytes,
 # the per-file ratio accounting or the trial seed chain shows here.
-go run -race ./cmd/netsim -dir internal/onescomp -channels drop,drop-ge,drop-burst,dup -trials 2 -workers 2 -compress > "$tmp/netsim.lz"
+go run -race ./cmd/netsim -dir testdata/netcorpus -channels drop,drop-ge,drop-burst,dup -trials 2 -workers 2 -compress > "$tmp/netsim.lz"
 grep "^lz payload stage" "$tmp/netsim.lz" > "$tmp/netsim.lz.ratio"
 diff - "$tmp/netsim.lz.ratio" <<'RATIO' || { echo "netsim -compress ratio line changed"; exit 1; }
 lz payload stage: 2 files, 13,295 -> 7,106 bytes, ratio min=47.848% mean=53.449% max=64.604%
@@ -202,14 +201,14 @@ PLACEMENTS
 
 echo "== cksumd service smoke (scenario run, metrics scrape, graceful shutdown, -race) =="
 # The service path must reproduce the batch pin lines above: cksumd runs
-# the same onescomp scenario as a verification stream, the /metrics
+# the same netcorpus scenario as a verification stream, the /metrics
 # scrape must carry the identical shape/placement lines, and SIGINT must
 # drain and exit 0 under the race detector.
 go build -race -o "$tmp/cksumd" ./cmd/cksumd
-cat > "$tmp/onescomp.scenario.json" <<'EOF'
-{"name":"ci-smoke","dir":"internal/onescomp","channels":["drop","drop-ge","drop-burst","dup"],"retrans":true,"trials":2,"workers":2}
+cat > "$tmp/netcorpus.scenario.json" <<'EOF'
+{"name":"ci-smoke","dir":"testdata/netcorpus","channels":["drop","drop-ge","drop-burst","dup"],"retrans":true,"trials":2,"workers":2}
 EOF
-"$tmp/cksumd" "$tmp/onescomp.scenario.json" > "$tmp/cksumd.log" 2>&1 &
+"$tmp/cksumd" "$tmp/netcorpus.scenario.json" > "$tmp/cksumd.log" 2>&1 &
 ckpid=$!
 addr=""
 for _ in $(seq 1 100); do
