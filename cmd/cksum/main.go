@@ -9,6 +9,11 @@
 // The algorithm set comes from the internal/algo registry; run with
 // -a list to see the names.  With no files, reads standard input.
 // With -a all (the default), prints every algorithm for each input.
+//
+// Each input streams through the algorithms' fixed-stride composition
+// (algo.Stride) in block-byte pieces: every full block's partial is
+// folded into the running state and the short last piece is appended
+// as the tail, so a file is never held in memory.
 package main
 
 import (
@@ -21,6 +26,10 @@ import (
 
 	"realsum/internal/algo"
 )
+
+// block is the stride cksum reads and folds by: even, as algo.Stride
+// requires.
+const block = 4096
 
 func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
 
@@ -53,22 +62,40 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	strides := make([]algo.Stride, len(selected))
+	for i, a := range selected {
+		strides[i] = a.Stride(block)
+	}
+	buf := make([]byte, block)
+	states := make([]uint64, len(selected))
+	var part [1]uint64
 	emit := func(name string, r io.Reader) error {
-		// One streaming pass: every selected digest sees the same bytes
-		// without the file ever being held in memory.
-		digests := make([]algo.Digest, len(selected))
-		writers := make([]io.Writer, len(selected))
-		for i, a := range selected {
-			digests[i] = a.New()
-			writers[i] = digests[i]
+		for i, s := range strides {
+			states[i] = s.Start()
 		}
-		n, err := io.Copy(io.MultiWriter(writers...), r)
-		if err != nil {
-			return err
+		var total int64
+		for {
+			// ReadFull keeps every block boundary at a multiple of block
+			// bytes, however the reader splits its input.
+			n, err := io.ReadFull(r, buf)
+			total += int64(n)
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				for i, s := range strides {
+					states[i] = s.Tail(states[i], buf[:n])
+				}
+				break
+			}
+			if err != nil {
+				return err
+			}
+			for i, s := range strides {
+				part[0] = s.Partial(buf)
+				states[i] = s.Fold(states[i], part[:])
+			}
 		}
 		for i, a := range selected {
 			width := (a.Width() + 3) / 4
-			fmt.Fprintf(stdout, "%-12s %0*x  %8d  %s\n", a.Name(), width, digests[i].Sum64(), n, name)
+			fmt.Fprintf(stdout, "%-12s %0*x  %8d  %s\n", a.Name(), width, strides[i].Sum(states[i]), total, name)
 		}
 		return nil
 	}

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"hash/adler32"
 	"hash/crc32"
+	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"realsum/internal/algo"
 )
@@ -18,8 +20,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
 
 // inputs are the golden files' contents: empty, one byte, an Ethernet
-// MTU, and 70 KiB — more than two of io.Copy's 32 KiB chunks, so the
-// digests see full-size writes and a ragged last one.
+// MTU, and 70 KiB — seventeen full blocks and a ragged last one.
 func inputs() map[string][]byte {
 	rng := rand.New(rand.NewPCG(1, 2))
 	data := make([]byte, 70<<10)
@@ -83,6 +84,41 @@ func TestGolden(t *testing.T) {
 		if sum, ok := stdlib[f[0]]; ok {
 			if want := fmt.Sprintf("%08x", sum(in[f[3]])); f[1] != want {
 				t.Errorf("%s: %s %s, standard library %s", f[3], f[0], f[1], want)
+			}
+		}
+	}
+}
+
+// TestBlockBoundaries feeds stdin through readers that return one byte,
+// or half of what was asked for, at a time, at sizes around the block
+// boundary.  Every algorithm must match its one-shot Sum: a short read
+// that left a block boundary at an odd offset would put the TCP sum's
+// bytes in the wrong lanes and split Fletcher-32's words.
+func TestBlockBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	data := make([]byte, 2*block+1)
+	for i := range data {
+		data[i] = byte(rng.Uint32())
+	}
+	readers := map[string]func(io.Reader) io.Reader{
+		"one-byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+	}
+	for rname, wrap := range readers {
+		for _, n := range []int{block - 1, block, block + 1, 2*block + 1} {
+			var out, errOut bytes.Buffer
+			if code := run(nil, wrap(bytes.NewReader(data[:n])), &out, &errOut); code != 0 {
+				t.Fatalf("%s n=%d: exit %d, stderr %q", rname, n, code, errOut.String())
+			}
+			lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+			if len(lines) != len(algo.All()) {
+				t.Fatalf("%s n=%d: %d lines, want one per algorithm", rname, n, len(lines))
+			}
+			for i, a := range algo.All() {
+				want := fmt.Sprintf("%-12s %0*x  %8d  -", a.Name(), (a.Width()+3)/4, algo.Sum(a, data[:n]), n)
+				if lines[i] != want {
+					t.Errorf("%s n=%d: %q, want %q", rname, n, lines[i], want)
+				}
 			}
 		}
 	}

@@ -18,9 +18,10 @@
 //
 // The flags are aliases over a scenario.Scenario — the same declarative
 // profile cmd/cksumd serves continuously.  -scenario loads a JSON
-// profile first; any flag set explicitly on the command line overrides
-// the loaded field, so `netsim -scenario audit.json -trials 12` is the
-// profile with a bigger trial budget.
+// profile first (a relative dir in it is relative to the file); any
+// flag set explicitly on the command line overrides the loaded field,
+// so `netsim -scenario audit.json -trials 12` is the profile with a
+// bigger trial budget.
 //
 // -dir scores a real directory tree instead of a synthetic profile;
 // giving it together with -profile, or -scale with a directory corpus,
@@ -109,11 +110,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return usage("%v", err)
 		}
 	} else {
-		sc = scenario.Scenario{Profile: *profile, Scale: *scale}
+		sc = scenario.Scenario{Profile: *profile}
 	}
 
 	// Explicit flags win over the loaded profile; -dir and -profile
-	// each displace the corpus the scenario names.
+	// each displace the corpus the scenario names, and -dir its scale.
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) {
 		set[f.Name] = true
@@ -121,7 +122,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		case "profile":
 			sc.Profile, sc.Dir = *profile, ""
 		case "dir":
-			sc.Dir, sc.Profile = *dir, ""
+			sc.Dir, sc.Profile, sc.Scale = *dir, "", 0
 		case "scale":
 			sc.Scale = *scale
 		case "mode":
@@ -148,9 +149,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	})
 	if set["dir"] && set["profile"] {
 		return usage("-dir and -profile name two corpora; give one")
-	}
-	if sc.Dir != "" && set["scale"] {
-		return usage("-scale scales a synthetic profile; it does not apply to directory %q", sc.Dir)
 	}
 	if err := sc.Validate(); err != nil {
 		return usage("%v", err)

@@ -37,43 +37,3 @@ func Checksum(data []byte) uint32 {
 	}
 	return b<<16 | a
 }
-
-// Digest is a streaming Adler-32 accumulator.
-type Digest struct {
-	a, b uint32
-	n    int
-}
-
-// New returns a streaming digest.
-func New() *Digest { return &Digest{a: 1} }
-
-// Reset restores the initial state.
-func (d *Digest) Reset() { d.a, d.b, d.n = 1, 0, 0 }
-
-// Write absorbs data; it never fails.
-func (d *Digest) Write(data []byte) (int, error) {
-	written := len(data)
-	a, b := d.a, d.b
-	for len(data) > 0 {
-		chunk := data
-		if len(chunk) > nmax {
-			chunk = chunk[:nmax]
-		}
-		data = data[len(chunk):]
-		for _, v := range chunk {
-			a += uint32(v)
-			b += a
-		}
-		a %= Mod
-		b %= Mod
-		d.n += len(chunk)
-	}
-	d.a, d.b = a, b
-	return written, nil
-}
-
-// Sum32 returns the Adler-32 of everything written.
-func (d *Digest) Sum32() uint32 { return d.b<<16 | d.a }
-
-// Len returns the number of bytes written.
-func (d *Digest) Len() int { return d.n }

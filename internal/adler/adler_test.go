@@ -45,33 +45,6 @@ func TestLongBufferReduction(t *testing.T) {
 	}
 }
 
-func TestDigestStreaming(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 3))
-	data := randBytes(rng, 10000)
-	d := New()
-	i := 0
-	for i < len(data) {
-		n := 1 + rng.IntN(700)
-		if i+n > len(data) {
-			n = len(data) - i
-		}
-		if w, err := d.Write(data[i : i+n]); w != n || err != nil {
-			t.Fatalf("Write of %d bytes after %d returned (%d, %v)", n, i, w, err)
-		}
-		i += n
-	}
-	if d.Len() != len(data) {
-		t.Fatalf("Len = %d", d.Len())
-	}
-	if got, want := d.Sum32(), adler32.Checksum(data); got != want {
-		t.Fatalf("streaming %#08x != stdlib %#08x", got, want)
-	}
-	d.Reset()
-	if d.Sum32() != 1 || d.Len() != 0 {
-		t.Error("Reset should restore the seed state")
-	}
-}
-
 func TestNoTwoZerosUnlikeFletcher255(t *testing.T) {
 	// The prime modulus kills the paper's §5.5 PBM pathology: a cell of
 	// 0xFF bytes is NOT congruent to a cell of zeros under Adler.

@@ -8,23 +8,23 @@
 // call shape (inet.Checksum here, fletcher.Mod255.Sum(...).Checksum16()
 // there, crc.New(params).Checksum elsewhere).  The Algorithm interface
 // normalizes all of them to one shape: a canonical name, a width in
-// bits, a one-shot Sum, a streaming Digest, and a fixed-stride
-// composition (Stride) that folds per-block partials into the sum of a
-// block train — the §4.1 partial-sum machinery for the TCP sum, §5.2's
-// positional shift for the Fletcher family, and GF(2) linearity for a
-// CRC.
+// bits, a one-shot Sum, and a fixed-stride composition (Stride) that
+// folds per-block partials into the sum of a block train — the §4.1
+// partial-sum machinery for the TCP sum, §5.2's positional shift for
+// the Fletcher family, and GF(2) linearity for a CRC.  Stride is the
+// only composition law: netsim scores cell trains through it and
+// cmd/cksum streams files through it.
 package algo
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"realsum/internal/crc"
 )
 
 // Algorithm is one checksum or CRC under a uniform calling convention.
-// Sum and the Digest produce the algorithm's canonical value — the one
+// Sum and Stride produce the algorithm's canonical value — the one
 // written to the wire or printed by cksum — right-aligned in a uint64.
 type Algorithm interface {
 	// Name is the registry key: short, lowercase, stable ("tcp",
@@ -34,8 +34,6 @@ type Algorithm interface {
 	Width() int
 	// Sum computes the checksum of data in one shot.
 	Sum(data []byte) uint64
-	// New returns a fresh streaming digest.
-	New() Digest
 	// Stride returns the algorithm's fixed-stride composition over
 	// n-byte blocks (n positive and even); see Stride.
 	Stride(n int) Stride
@@ -48,21 +46,12 @@ type Algorithm interface {
 	UniformP() float64
 }
 
-// Digest is a streaming checksum accumulator.  Write never fails.
-type Digest interface {
-	io.Writer
-	// Sum64 returns the checksum of everything written so far.
-	Sum64() uint64
-	// Reset restores the initial state.
-	Reset()
-}
-
 // Sum computes a's checksum of data in one shot.  It is the one-shot
 // path for whole buffers — the full-recompute oracle netsim's
 // cell-composed scoring (Stride) is tested against — and carries the
-// performance contract hot loops rely on: one virtual call per buffer,
-// no Digest construction, and zero steady-state allocations for every
-// registry algorithm (pinned by TestSumZeroAlloc).
+// performance contract hot loops rely on: one virtual call per buffer
+// and zero steady-state allocations for every registry algorithm
+// (pinned by TestSumZeroAlloc).
 func Sum(a Algorithm, data []byte) uint64 { return a.Sum(data) }
 
 // Stride composes an algorithm's sum of a message cut into fixed

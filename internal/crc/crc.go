@@ -180,29 +180,3 @@ func (t *Table) RawUpdate(reg uint64, data []byte) uint64 { return t.updateSlici
 
 // RawCRC converts a raw register into the published CRC value.
 func (t *Table) RawCRC(reg uint64) uint64 { return t.finalizeReg(reg) }
-
-// Digest is a streaming CRC accumulator.
-type Digest struct {
-	t   *Table
-	reg uint64
-	n   int
-}
-
-// NewDigest returns a streaming digest over t's algorithm.
-func (t *Table) NewDigest() *Digest { return &Digest{t: t, reg: t.initReg()} }
-
-// Reset restores the digest to its initial state.
-func (d *Digest) Reset() { d.reg, d.n = d.t.initReg(), 0 }
-
-// Write absorbs data.  It never fails.
-func (d *Digest) Write(data []byte) (int, error) {
-	d.reg = d.t.updateSlicing(d.reg, data)
-	d.n += len(data)
-	return len(data), nil
-}
-
-// CRC returns the CRC of everything written so far.
-func (d *Digest) CRC() uint64 { return d.t.finalizeReg(d.reg) }
-
-// Len returns the number of bytes written.
-func (d *Digest) Len() int { return d.n }

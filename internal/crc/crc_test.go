@@ -74,37 +74,6 @@ func TestUpdateMatchesOneShot(t *testing.T) {
 	}
 }
 
-func TestDigestStreaming(t *testing.T) {
-	rng := rand.New(rand.NewPCG(4, 4))
-	for _, p := range Catalog() {
-		tab := New(p)
-		data := make([]byte, 777)
-		for i := range data {
-			data[i] = byte(rng.Uint32())
-		}
-		d := tab.NewDigest()
-		i := 0
-		for i < len(data) {
-			n := 1 + rng.IntN(100)
-			if i+n > len(data) {
-				n = len(data) - i
-			}
-			d.Write(data[i : i+n])
-			i += n
-		}
-		if d.Len() != len(data) {
-			t.Fatalf("%s: Len = %d", p.Name, d.Len())
-		}
-		if got, want := d.CRC(), tab.Checksum(data); got != want {
-			t.Fatalf("%s: streaming %#x != one-shot %#x", p.Name, got, want)
-		}
-		d.Reset()
-		if d.CRC() != tab.Checksum(nil) || d.Len() != 0 {
-			t.Errorf("%s: Reset did not restore initial state", p.Name)
-		}
-	}
-}
-
 func TestMakeParamsArbitraryWidths(t *testing.T) {
 	// Exercise odd widths end-to-end: table must agree with bitwise for
 	// widths that are not byte multiples.

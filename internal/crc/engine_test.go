@@ -98,38 +98,41 @@ func TestKernelShortInputs(t *testing.T) {
 	}
 }
 
-// TestKernelStreamingDigest checks that a Digest fed arbitrary chunk
-// sizes, many of them past the 8-byte step and with ragged tails,
-// agrees with the scalar oracle over the whole message.
-func TestKernelStreamingDigest(t *testing.T) {
+// TestKernelSplitChaining checks that the raw register chains across
+// split points: RawUpdate fed arbitrary chunk sizes, many of them past
+// the 8-byte step and with ragged tails, agrees with the scalar oracle
+// over the whole message.  algo's CRC Stride appends a message's tail
+// with RawUpdate onto a register folded from block partials, so it
+// relies on this continuity.
+func TestKernelSplitChaining(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 13))
 	data := pinnedBuf()[:20000]
 	for _, p := range Catalog() {
 		tab := New(p)
 		want := tab.finalizeReg(tab.updateScalar(tab.initReg(), data))
-		d := tab.NewDigest()
+		reg := tab.RawInit()
 		for off := 0; off < len(data); {
 			n := min(1+rng.IntN(4000), len(data)-off)
-			d.Write(data[off : off+n])
+			reg = tab.RawUpdate(reg, data[off:off+n])
 			off += n
 		}
-		if got := d.CRC(); got != want {
-			t.Errorf("%s: streamed %#x != scalar %#x", p.Name, got, want)
+		if got := tab.RawCRC(reg); got != want {
+			t.Errorf("%s: chained %#x != scalar %#x", p.Name, got, want)
 		}
 	}
 }
 
 // TestKernelZeroAlloc pins the hot-loop contract: checksumming and
-// streaming allocate nothing at cell, MTU and bulk sizes.
+// advancing a raw register allocate nothing at cell, MTU and bulk sizes.
 func TestKernelZeroAlloc(t *testing.T) {
 	for _, p := range Catalog() {
 		tab := New(p)
-		d := tab.NewDigest()
+		reg := tab.RawInit()
 		for _, n := range []int{48, 1500, 64 << 10} {
 			data := pinnedBuf()[:n]
 			allocs := testing.AllocsPerRun(20, func() {
 				benchSink ^= tab.Checksum(data)
-				d.Write(data)
+				reg = tab.RawUpdate(reg, data)
 			})
 			if allocs > 0 {
 				t.Errorf("%s n=%d: %.1f allocs per checksum, want 0", p.Name, n, allocs)

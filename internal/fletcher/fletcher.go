@@ -128,35 +128,6 @@ func (m Mod) Verify(data []byte) bool {
 	return p.A%uint16(m) == 0 && p.B%uint16(m) == 0
 }
 
-// Digest is a streaming Fletcher accumulator.  Because B's positional
-// weights depend on the final length, the digest accumulates with
-// weights counted from the start and converts on Sum; equivalently it
-// appends each chunk with Append.
-type Digest struct {
-	m    Mod
-	pair Pair
-	n    int
-}
-
-// New returns a streaming Fletcher digest under modulus m.
-func New(m Mod) *Digest { return &Digest{m: m} }
-
-// Reset restores the digest to its initial state.
-func (d *Digest) Reset() { d.pair, d.n = Pair{}, 0 }
-
-// Write absorbs data.  It never fails.
-func (d *Digest) Write(data []byte) (int, error) {
-	d.pair = d.m.Append(d.pair, len(data), d.m.Sum(data))
-	d.n += len(data)
-	return len(data), nil
-}
-
-// Pair returns the Fletcher pair of everything written so far.
-func (d *Digest) Pair() Pair { return d.pair }
-
-// Len returns the number of bytes written.
-func (d *Digest) Len() int { return d.n }
-
 // Pair32 holds the accumulators of the 32-bit Fletcher sum over 16-bit
 // blocks, each reduced modulo 65535 (the ones-complement variant
 // Fletcher defined for wider words).

@@ -187,33 +187,6 @@ func TestCheckBytesDetectCorruption(t *testing.T) {
 	}
 }
 
-func TestDigestStreaming(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 7))
-	for _, m := range []Mod{Mod255, Mod256} {
-		data := randBytes(rng, 1024)
-		d := New(m)
-		i := 0
-		for i < len(data) {
-			n := 1 + rng.IntN(53)
-			if i+n > len(data) {
-				n = len(data) - i
-			}
-			d.Write(data[i : i+n])
-			i += n
-		}
-		if d.Len() != len(data) {
-			t.Fatalf("Len = %d, want %d", d.Len(), len(data))
-		}
-		if got, want := d.Pair(), m.Sum(data); got != want {
-			t.Fatalf("mod %d: streaming %+v != one-shot %+v", m, got, want)
-		}
-		d.Reset()
-		if d.Len() != 0 || d.Pair() != (Pair{}) {
-			t.Error("Reset did not clear state")
-		}
-	}
-}
-
 func TestPositionSensitivity(t *testing.T) {
 	// Unlike the Internet checksum, Fletcher changes when word-aligned
 	// cells are reordered — the property §5.2 exploits.

@@ -25,13 +25,3 @@ func Example() {
 	// composed:  0x9764
 	// wire form: 0x689b
 }
-
-// Streaming use with arbitrary write boundaries.
-func ExampleDigest() {
-	d := inet.New()
-	d.Write([]byte("hello, "))
-	d.Write([]byte("world"))
-	fmt.Printf("%#04x over %d bytes\n", d.Checksum16(), d.Len())
-	// Output:
-	// 0xbfb3 over 12 bytes
-}

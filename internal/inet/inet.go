@@ -55,28 +55,3 @@ func (p Partial) Append(q Partial) Partial {
 // Update adjusts a raw sum for the 16-bit word at even offset changing
 // from from to to.  See onescomp.UpdateSum.
 func Update(sum, from, to uint16) uint16 { return onescomp.UpdateSum(sum, from, to) }
-
-// Digest is a streaming Internet-checksum accumulator in the spirit of
-// hash.Hash.  It accepts writes of any size and alignment.
-type Digest struct {
-	part Partial
-}
-
-// New returns a streaming checksum accumulator.
-func New() *Digest { return &Digest{} }
-
-// Reset restores the digest to its initial state.
-func (d *Digest) Reset() { d.part = Partial{} }
-
-// Write absorbs data into the running sum.  It never fails.
-func (d *Digest) Write(data []byte) (int, error) {
-	d.part = d.part.Append(NewPartial(data))
-	return len(data), nil
-}
-
-// Checksum16 returns the complemented (wire-format) checksum of
-// everything written.
-func (d *Digest) Checksum16() uint16 { return onescomp.Neg(d.part.Sum) }
-
-// Len returns the number of bytes written.
-func (d *Digest) Len() int { return d.part.Len }

@@ -124,37 +124,6 @@ func TestUpdateMatchesRecompute(t *testing.T) {
 	}
 }
 
-func TestDigestStreaming(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 7))
-	data := randBytes(rng, 1000)
-	d := New()
-	i := 0
-	for i < len(data) {
-		n := 1 + rng.IntN(37)
-		if i+n > len(data) {
-			n = len(data) - i
-		}
-		wrote, err := d.Write(data[i : i+n])
-		if err != nil || wrote != n {
-			t.Fatalf("Write returned (%d, %v)", wrote, err)
-		}
-		i += n
-	}
-	if d.Len() != len(data) {
-		t.Fatalf("Len = %d, want %d", d.Len(), len(data))
-	}
-	if !onescomp.Congruent(d.part.Sum, Sum(data)) {
-		t.Fatalf("streaming sum %#04x != one-shot %#04x", d.part.Sum, Sum(data))
-	}
-	if d.Checksum16() != onescomp.Neg(d.part.Sum) {
-		t.Error("Checksum16 must be the complement of the raw sum")
-	}
-	d.Reset()
-	if d.Len() != 0 || d.part.Sum != 0 {
-		t.Error("Reset did not clear state")
-	}
-}
-
 func TestChecksumZeroNeverTransmitted(t *testing.T) {
 	// A quirky consequence of ones-complement: Checksum never returns
 	// 0x0000 unless the sum was 0xFFFF; data summing to 0x0000 (e.g. the

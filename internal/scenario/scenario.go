@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -48,7 +49,8 @@ type Scenario struct {
 	// corpus arrives on the connection.
 	Profile string `json:"profile,omitempty"`
 	Dir     string `json:"dir,omitempty"`
-	// Scale multiplies the synthetic profile's file count (default 1.0).
+	// Scale multiplies the synthetic profile's file count (default 1.0);
+	// a Dir scenario leaves it unset.
 	Scale float64 `json:"scale,omitempty"`
 
 	// Mode is the transport encoding: "tcp" (default) or "udpfrag".
@@ -110,7 +112,8 @@ type Scenario struct {
 
 // Load reads one Scenario from a JSON profile file.  Unknown fields are
 // errors, so a typo in a profile fails loudly instead of silently
-// running the default.
+// running the default.  A relative dir names a tree relative to the
+// profile file, so a profile runs from any working directory.
 func Load(path string) (Scenario, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -124,10 +127,14 @@ func Load(path string) (Scenario, error) {
 	if s.Name == "" {
 		s.Name = strings.TrimSuffix(strings.TrimSuffix(path, ".json"), ".scenario")
 	}
+	if s.Dir != "" && !filepath.IsAbs(s.Dir) {
+		s.Dir = filepath.Join(filepath.Dir(path), s.Dir)
+	}
 	return s, nil
 }
 
-// Parse decodes one Scenario from JSON and validates it.
+// Parse decodes one Scenario from JSON and validates it.  A relative
+// dir is left as written: a reader has no directory of its own.
 func Parse(r io.Reader) (Scenario, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -203,6 +210,9 @@ func (s Scenario) Validate() error {
 	}
 	if s.Scale < 0 {
 		return fmt.Errorf("scenario: negative scale %v", s.Scale)
+	}
+	if s.Dir != "" && s.Scale != 0 {
+		return fmt.Errorf("scenario: scale %v scales a synthetic profile; it does not apply to dir %q", s.Scale, s.Dir)
 	}
 	if s.Trials < 0 {
 		return fmt.Errorf("scenario: negative trials %d", s.Trials)

@@ -191,6 +191,7 @@ func TestParseErrors(t *testing.T) {
 			`duplicate algorithm "crc32"`},
 		{"unknown-field", `{"profil": "x"}`, `unknown field "profil"`},
 		{"both-sources", `{"profile": "a", "dir": "b"}`, "mutually exclusive"},
+		{"dir-with-scale", `{"dir": "b", "scale": 9}`, `scale 9 scales a synthetic profile; it does not apply to dir "b"`},
 		{"bad-duration", `{"duration": "five minutes"}`, `bad duration "five minutes"`},
 		{"negative-trials", `{"trials": -1}`, "negative trials -1"},
 		{"negative-max-retries", `{"retrans": true, "max_retries": -3}`, "negative max_retries -3"},

@@ -205,8 +205,10 @@ echo "== cksumd service smoke (scenario run, metrics scrape, graceful shutdown, 
 # scrape must carry the identical shape/placement lines, and SIGINT must
 # drain and exit 0 under the race detector.
 go build -race -o "$tmp/cksumd" ./cmd/cksumd
-cat > "$tmp/netcorpus.scenario.json" <<'EOF'
-{"name":"ci-smoke","dir":"testdata/netcorpus","channels":["drop","drop-ge","drop-burst","dup"],"retrans":true,"trials":2,"workers":2}
+# The scenario file lives in $tmp and a relative dir resolves against
+# the file's directory, so the corpus path is absolute.
+cat > "$tmp/netcorpus.scenario.json" <<EOF
+{"name":"ci-smoke","dir":"$PWD/testdata/netcorpus","channels":["drop","drop-ge","drop-burst","dup"],"retrans":true,"trials":2,"workers":2}
 EOF
 "$tmp/cksumd" "$tmp/netcorpus.scenario.json" > "$tmp/cksumd.log" 2>&1 &
 ckpid=$!
