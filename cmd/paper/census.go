@@ -3,7 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"realsum/internal/census"
@@ -25,7 +25,7 @@ func censusWalker(scale float64, seed uint64) corpus.Walker {
 // two-lane report: analytic P_ud under the uniform assumption vs the
 // injected miss rate and measured-mix P_ud over the real corpus, with
 // any ranking inversion called out explicitly.
-func runCensus(ctx context.Context, scale float64, seed uint64, workers int, progress *sim.Progress) error {
+func runCensus(ctx context.Context, scale float64, seed uint64, workers int, progress *sim.Progress, stdout, stderr io.Writer) error {
 	start := time.Now()
 	res, err := census.Run(ctx, census.Config{
 		Walker:   censusWalker(scale, seed),
@@ -36,7 +36,7 @@ func runCensus(ctx context.Context, scale float64, seed uint64, workers int, pro
 	if err != nil {
 		return err
 	}
-	fmt.Println(res.Report())
-	fmt.Fprintf(os.Stderr, "[census done in %v]\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintln(stdout, res.Report())
+	fmt.Fprintf(stderr, "[census done in %v]\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }

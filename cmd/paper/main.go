@@ -54,8 +54,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"slices"
@@ -108,47 +110,62 @@ func selectExperiments(run string, netsimOnly bool) (map[string]bool, error) {
 }
 
 func main() {
-	scale := flag.Float64("scale", 1.0, "corpus scale factor")
-	run := flag.String("run", "", "comma-separated experiments (default: all; -list prints the names)")
-	list := flag.Bool("list", false, "list experiment names and exit")
-	workers := flag.Int("workers", 0, "parallel workers per pass (default GOMAXPROCS; output is identical at any count)")
-	seed := flag.Uint64("seed", 0, "root seed for every randomized pass: corpus generation, local any-cells sampling, end-to-end loss and netsim trials all derive from it (0 = the historical defaults the committed goldens use)")
-	netsimOnly := flag.Bool("netsim", false, "run only the netsim fault-injection pass (shorthand for -run netsim)")
-	censusOnly := flag.Bool("census", false, "run the polynomial-selection census: analytic uniform-assumption P_ud vs injected miss rate over the measured corpus for the CRC candidate slate (IEEE, Castagnoli, Koopman, 5G NR), then exit")
-	progress := flag.Bool("progress", false, "print live throughput (files, MB, MB/s) to stderr while experiments run")
-	flag.Parse()
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the whole command: it parses args, runs the selected
+// experiments under ctx and prints their reports to stdout (timings and
+// progress to stderr), returning the exit status — 0 on success, 1 if
+// the census fails, 2 on a usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paper", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Float64("scale", 1.0, "corpus scale factor")
+	runList := fs.String("run", "", "comma-separated experiments (default: all; -list prints the names)")
+	list := fs.Bool("list", false, "list experiment names and exit")
+	workers := fs.Int("workers", 0, "parallel workers per pass (default GOMAXPROCS; output is identical at any count)")
+	seed := fs.Uint64("seed", 0, "root seed for every randomized pass: corpus generation, local any-cells sampling, end-to-end loss and netsim trials all derive from it (0 = the historical defaults the committed goldens use)")
+	netsimOnly := fs.Bool("netsim", false, "run only the netsim fault-injection pass (shorthand for -run netsim)")
+	censusOnly := fs.Bool("census", false, "run the polynomial-selection census: analytic uniform-assumption P_ud vs injected miss rate over the measured corpus for the CRC candidate slate (IEEE, Castagnoli, Koopman, 5G NR), then exit")
+	progress := fs.Bool("progress", false, "print live throughput (files, MB, MB/s) to stderr while experiments run")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *censusOnly {
 		var prog *sim.Progress
 		if *progress {
 			prog = &sim.Progress{}
-			defer startProgress(prog)()
+			defer startProgress(prog, stderr)()
 		}
-		if err := runCensus(ctx, *scale, *seed, *workers, prog); err != nil {
-			fmt.Fprintf(os.Stderr, "paper: census: %v\n", err)
-			os.Exit(1)
+		if err := runCensus(ctx, *scale, *seed, *workers, prog, stdout, stderr); err != nil {
+			fmt.Fprintf(stderr, "paper: census: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *list {
-		fmt.Println(strings.Join(experimentNames, "\n"))
-		return
+		fmt.Fprintln(stdout, strings.Join(experimentNames, "\n"))
+		return 0
 	}
-	want, err := selectExperiments(*run, *netsimOnly)
+	want, err := selectExperiments(*runList, *netsimOnly)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "paper: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "paper: %v\n", err)
+		return 2
 	}
 
 	cfg := experiments.Config{Scale: *scale, Workers: *workers, Seed: *seed, Ctx: ctx}
 	if *progress {
 		prog := &sim.Progress{}
 		cfg.Progress = prog
-		defer startProgress(prog)()
+		defer startProgress(prog, stderr)()
 	}
 	step := func(name string, fn func() string) {
 		if !want[name] {
@@ -156,8 +173,8 @@ func main() {
 		}
 		start := time.Now()
 		out := fn()
-		fmt.Println(out)
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(stdout, out)
+		fmt.Fprintf(stderr, "[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
 	// Tables 1–3 and the effective-bits computation share one big run.
@@ -165,18 +182,18 @@ func main() {
 	if needT123 {
 		start := time.Now()
 		results := experiments.Tables123(cfg)
-		fmt.Fprintf(os.Stderr, "[tables 1-3 simulation done in %v]\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "[tables 1-3 simulation done in %v]\n", time.Since(start).Round(time.Millisecond))
 		if want["table1"] {
-			fmt.Println(experiments.Table1Report(results))
+			fmt.Fprintln(stdout, experiments.Table1Report(results))
 		}
 		if want["table2"] {
-			fmt.Println(experiments.Table2Report(results))
+			fmt.Fprintln(stdout, experiments.Table2Report(results))
 		}
 		if want["table3"] {
-			fmt.Println(experiments.Table3Report(results))
+			fmt.Fprintln(stdout, experiments.Table3Report(results))
 		}
 		if want["effectivebits"] {
-			fmt.Println(experiments.EffectiveBitsReport(experiments.EffectiveBits(results)))
+			fmt.Fprintln(stdout, experiments.EffectiveBitsReport(experiments.EffectiveBits(results)))
 		}
 	}
 
@@ -200,11 +217,12 @@ func main() {
 	step("locality", func() string { return experiments.LocalityReport(experiments.Locality(cfg)) })
 	step("fragswap", func() string { return experiments.FragSwapReport(experiments.FragSwap(cfg)) })
 	step("netsim", func() string { return experiments.NetSimReport(experiments.NetSim(cfg)) })
+	return 0
 }
 
 // startProgress prints cumulative throughput to stderr every 2 seconds
 // until the returned stop function runs.
-func startProgress(p *sim.Progress) (stopFn func()) {
+func startProgress(p *sim.Progress, stderr io.Writer) (stopFn func()) {
 	done := make(chan struct{})
 	go func() {
 		t := time.NewTicker(2 * time.Second)
@@ -217,7 +235,7 @@ func startProgress(p *sim.Progress) (stopFn func()) {
 			case <-t.C:
 				files, bytes := p.Files(), p.Bytes()
 				el := time.Since(start).Seconds()
-				fmt.Fprintf(os.Stderr, "[progress: %d files, %.1f MB, %.1f MB/s]\n",
+				fmt.Fprintf(stderr, "[progress: %d files, %.1f MB, %.1f MB/s]\n",
 					files, float64(bytes)/1e6, float64(bytes)/1e6/el)
 			}
 		}

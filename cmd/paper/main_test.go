@@ -1,11 +1,70 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"flag"
 	"maps"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
+// paper runs the command and returns its exit code and output.
+func paper(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	code = run(context.Background(), args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// TestDistGolden pins the distribution passes at scale 0.05: Figure 2
+// (with its predict2 series, the single-cell PMF convolved with
+// itself), Table 4 and Table 6, whose Predicted columns are powers of
+// the single-cell PMF.  Any drift in the convolution, the corpus walks
+// or the renderers shows up as a diff.  Only stdout is compared: stderr
+// carries wall-clock timings.
+func TestDistGolden(t *testing.T) {
+	code, out, errOut := paper(t, "-run", "figure2,table4,table6", "-scale", "0.05", "-workers", "2")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errOut)
+	}
+	golden := filepath.Join("testdata", "dist.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("output differs from %s (rerun with -update after a deliberate change):\n%s", golden, out)
+	}
+}
+
+// TestUsageErrorsExit2 checks that every rejected invocation exits 2
+// with a message naming the problem and prints nothing on stdout.
+func TestUsageErrorsExit2(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-run", "tabel1"}, `unknown experiment "tabel1"`},
+		{[]string{"-run", "table1,figure9", "-scale", "0.01"}, `unknown experiment "figure9"`},
+		{[]string{"-x"}, "-x"},
+	} {
+		code, out, errOut := paper(t, tc.args...)
+		if code != 2 || out != "" || !strings.Contains(errOut, tc.msg) {
+			t.Errorf("%q: exit %d, stdout %q, stderr %q; want 2 and %q", tc.args, code, out, errOut, tc.msg)
+		}
+	}
+}
 
 func TestSelectExperiments(t *testing.T) {
 	for _, tc := range []struct {

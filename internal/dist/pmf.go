@@ -1,19 +1,37 @@
 package dist
 
-import "sort"
+import "math/bits"
 
 // PMF is a probability mass function over ℤ/M — the residue arithmetic
 // in which the paper's checksum distributions live.  Normalized
 // ones-complement 16-bit sums form ℤ/65535 (0x0000 and 0xFFFF are the
 // same residue), each Fletcher component lives in ℤ/255 or ℤ/256, so M
 // is a parameter.
+//
+// A PMF built from counts (FromHistogram, and Convolve of two such) is
+// exact: P[c] is an integer numerator over a common denominator den,
+// rounded to float64 once.  A numerator never exceeds den.  Below
+// storedDen, P[c]·den rounds back to the numerator, so only wider PMFs
+// store them: num, and numHi with the high words (nil while those are
+// all zero).
 type PMF struct {
 	M int
 	P []float64
+
+	exact      bool
+	den        u128
+	num, numHi []uint64
 }
 
+// storedDen is the least denominator whose PMF stores its numerators.
+// Below it, a numerator n ≤ den < 2^51 has P = n/den·(1+δ) and
+// P·den = n·(1+δ)(1+δ′) with |δ|, |δ′| ≤ 2^-53, off from n by less
+// than 1/2, so rounding recovers n.
+const storedDen = 1 << 51
+
 // NewPMF returns the all-zero mass function over ℤ/m (not a valid
-// distribution until filled).
+// distribution until filled).  It carries no exact form, so Convolve
+// rejects it.
 func NewPMF(m int) PMF {
 	if m < 1 {
 		panic("dist: PMF modulus must be positive")
@@ -25,15 +43,24 @@ func NewPMF(m int) PMF {
 // ℤ/65535 (the normalized ones-complement residues).  Bucket 0xFFFF is
 // empty by construction.
 func FromHistogram(h *Histogram) PMF {
-	p := NewPMF(65535)
-	if h.total == 0 {
-		return p
+	return fromCounts(h.counts[:65535])
+}
+
+// fromCounts returns the exact PMF with P[c] = counts[c]/Σcounts over
+// ℤ/len(counts).  All-zero counts give the all-zero PMF.
+func fromCounts(counts []uint64) PMF {
+	p := NewPMF(len(counts))
+	p.exact = true
+	for _, c := range counts {
+		var carry uint64
+		p.den.lo, carry = bits.Add64(p.den.lo, c, 0)
+		p.den.hi += carry
 	}
-	t := float64(h.total)
-	for v, c := range h.counts {
-		if c > 0 {
-			p.P[v] += float64(c) / t
-		}
+	for v, c := range counts {
+		p.P[v] = ratio(u128{0, c}, p.den)
+	}
+	if !p.den.less(u128{0, storedDen}) {
+		p.num = append([]uint64(nil), counts...)
 	}
 	return p
 }
@@ -43,130 +70,84 @@ func FromHistogram(h *Histogram) PMF {
 //
 //	P_k(c) = Σ_x P_{k-1}(c−x)·P_1(x)
 //
-// It runs every block of a Convolution in order; sim.Convolve runs the
-// same blocks on a worker pool, with the same result.
+// computed exactly on the integer numerators and rounded once per bin.
+// Modulo each prime the output denominator needs, one after another, a
+// number-theoretic transform convolves the numerators (see cyclic);
+// CRT then recovers each bin.  It panics if the moduli differ, if
+// either PMF has no exact form (NewPMF), or if the output denominator
+// reaches the primes' product.
 func (p PMF) Convolve(q PMF) PMF {
-	c := NewConvolution(p, q)
-	for b := 0; b < c.Blocks(); b++ {
-		c.Block(b)
-	}
-	return c.PMF()
-}
-
-// convBlock is the output block width in bins: 2048 float64s is 16 KiB,
-// so a block of the output stays in L1 while every support term streams
-// a matching run of p past it.
-const convBlock = 2048
-
-// Convolution is one p⊛q computation split into independent output
-// blocks.  Block b writes only bins [b·convBlock, (b+1)·convBlock), so
-// distinct blocks may run concurrently, in any order, and the result is
-// bit-identical to running them serially.
-//
-// Bit-exactness rests on one rule: every bin adds its terms in
-// ascending x, one s += p[c−x]·q[x] rounding step per nonzero q[x],
-// starting from 0 — the order of the textbook loop over x.  The kernel
-// never reassociates, so neither the block partition nor the worker
-// count can change a bit of the output.
-type Convolution struct {
-	p   []float64
-	xs  []int32   // q's support, ascending
-	qs  []float64 // q[xs[i]]
-	out PMF
-}
-
-// NewConvolution prepares p⊛q: it collects q's nonzero support once and
-// allocates the output.  It panics if the moduli differ.
-func NewConvolution(p, q PMF) Convolution {
 	if p.M != q.M {
 		panic("dist: Convolve modulus mismatch")
 	}
-	n := 0
-	for _, v := range q.P {
-		if v != 0 {
-			n++
+	if !p.exact || !q.exact {
+		panic("dist: Convolve needs exact numerators (a PMF from FromHistogram or Convolve)")
+	}
+	den, ok := p.den.mul(q.den)
+	primes := 1
+	for ok && primes <= len(nttPrimes) && !den.less(primeProduct(primes)) {
+		primes++
+	}
+	if !ok || primes > len(nttPrimes) {
+		panic("dist: Convolve denominator exceeds the exact bound (product of the NTT primes, about 2^124)")
+	}
+	m := p.M
+	l := max(2, 1<<bits.Len(uint(m-1))) // a power of two ≥ m: n = 2l ≥ 2m−1
+	if 2*l > 1<<nttMaxLog {
+		panic("dist: Convolve modulus too large for the NTT primes")
+	}
+	a := make([]uint64, 2*l/nttSubtrees)
+	b := a
+	if self := &p.P[0] == &q.P[0]; !self {
+		b = make([]uint64, len(a))
+	}
+	z := make([]uint64, len(a)/2)
+	num, hi := make([]uint64, m), []uint64(nil)
+	for i, pr := range nttPrimes[:primes] {
+		mt := newMont(pr.p)
+		mt.roots(z, pr.g)
+		if i == 0 {
+			mt.cyclic(num, &p, &q, a, b, z, pr.g)
+			continue
+		}
+		hi = make([]uint64, m)
+		mt.cyclic(hi, &p, &q, a, b, z, pr.g)
+		// Garner: x = r₀ + p₀·((r₁ − r₀)·p₀⁻¹ mod p₁), the unique
+		// x < p₀·p₁ with those residues.
+		p0 := nttPrimes[0].p
+		inv := mt.pow(mt.toMont(p0%pr.p), pr.p-2) // p₀⁻¹, Montgomery form
+		for c, r1 := range hi {
+			r0 := num[c]
+			t := mt.mul(mt.sub(r1, r0%pr.p), inv)
+			h, lo := bits.Mul64(p0, t)
+			lo, carry := bits.Add64(lo, r0, 0)
+			num[c], hi[c] = lo, h+carry
 		}
 	}
-	c := Convolution{p: p.P, xs: make([]int32, 0, n), qs: make([]float64, 0, n), out: NewPMF(p.M)}
-	for x, v := range q.P {
-		if v != 0 {
-			c.xs = append(c.xs, int32(x))
-			c.qs = append(c.qs, v)
+	out := PMF{M: m, P: make([]float64, m), exact: true, den: den}
+	for c := range out.P {
+		n := u128{0, num[c]}
+		if den.hi != 0 { // else every n ≤ den < 2^64
+			n.hi = hi[c]
+		}
+		out.P[c] = ratio(n, den)
+	}
+	if !den.less(u128{0, storedDen}) {
+		out.num = num
+		if den.hi != 0 {
+			out.numHi = hi
 		}
 	}
-	return c
+	return out
 }
 
-// Blocks returns the number of output blocks.
-func (c Convolution) Blocks() int { return (c.out.M + convBlock - 1) / convBlock }
-
-// PMF returns the output distribution; it is complete once every block
-// has run.
-func (c Convolution) PMF() PMF { return c.out }
-
-// Block computes output bins [c0, c1) of block b.  For a support value
-// x the source bin of output c is c−x, or c−x+M when c < x, so:
-//
-//   - x ≤ c0: every bin reads p[c−x], one contiguous run from p[c0−x];
-//   - x ≥ c1: every bin wraps and reads p[c−x+M], contiguous from
-//     p[c0−x+M];
-//   - c0 < x < c1: the run splits at c = x into a wrapped head and an
-//     unwrapped tail.
-//
-// The three ranges partition the ascending support, so walking them in
-// turn keeps every bin's terms in ascending x.
-func (c Convolution) Block(b int) {
-	m := c.out.M
-	c0 := b * convBlock
-	c1 := min(c0+convBlock, m)
-	o := c.out.P[c0:c1]
-	lo := sort.Search(len(c.xs), func(i int) bool { return int(c.xs[i]) > c0 })
-	hi := sort.Search(len(c.xs), func(i int) bool { return int(c.xs[i]) >= c1 })
-	c.runs(o, c.xs[:lo], c.qs[:lo], c0)
-	for i := lo; i < hi; i++ {
-		x := int(c.xs[i])
-		axpy(o[:x-c0], c.p[c0-x+m:], c.qs[i])
-		axpy(o[x-c0:], c.p, c.qs[i])
+// primeProduct returns the product of the first k NTT primes.
+func primeProduct(k int) u128 {
+	x := u128{0, 1}
+	for _, pr := range nttPrimes[:k] {
+		x, _ = x.mul(u128{0, pr.p})
 	}
-	c.runs(o, c.xs[hi:], c.qs[hi:], c0+m)
-}
-
-// runs adds the terms of support values xs to o, where value x reads
-// the contiguous run p[base−x:], four values per pass over o.
-func (c Convolution) runs(o []float64, xs []int32, qs []float64, base int) {
-	i := 0
-	for ; i+4 <= len(xs); i += 4 {
-		axpy4(o,
-			c.p[base-int(xs[i]):], c.p[base-int(xs[i+1]):],
-			c.p[base-int(xs[i+2]):], c.p[base-int(xs[i+3]):],
-			qs[i], qs[i+1], qs[i+2], qs[i+3])
-	}
-	for ; i < len(xs); i++ {
-		axpy(o, c.p[base-int(xs[i]):], qs[i])
-	}
-}
-
-// axpy4 adds a0·q0, a1·q1, a2·q2 and a3·q3 to o element-wise, in that
-// order, rounding after each product and each addition exactly as four
-// axpy calls would.
-func axpy4(o, a0, a1, a2, a3 []float64, q0, q1, q2, q3 float64) {
-	a0, a1, a2, a3 = a0[:len(o)], a1[:len(o)], a2[:len(o)], a3[:len(o)]
-	for i := range o {
-		s := o[i]
-		s += a0[i] * q0
-		s += a1[i] * q1
-		s += a2[i] * q2
-		s += a3[i] * q3
-		o[i] = s
-	}
-}
-
-// axpy adds a·q to o element-wise.
-func axpy(o, a []float64, q float64) {
-	a = a[:len(o)]
-	for i := range o {
-		o[i] += a[i] * q
-	}
+	return x
 }
 
 // SelfMatch returns Σp² — the probability two independent draws from p

@@ -59,14 +59,13 @@ func (c Config) collectOptions() sim.CollectOptions {
 	return sim.CollectOptions{Workers: c.Workers, Seed: c.Seed, Progress: c.Progress}
 }
 
-// convolve computes p⊛q on the Config's workers; like the collection
-// passes, it panics on error (a cancelled Ctx).
+// convolve computes p⊛q (serial and exact); like the collection
+// passes, it panics if the Ctx is cancelled.
 func (c Config) convolve(p, q dist.PMF) dist.PMF {
-	out, err := sim.Convolve(c.ctx(), p, q, c.collectOptions())
-	if err != nil {
+	if err := c.ctx().Err(); err != nil {
 		panic(err)
 	}
-	return out
+	return p.Convolve(q)
 }
 
 // build scales a profile and folds the Config's root seed into its

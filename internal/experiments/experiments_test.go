@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"realsum/internal/dist"
 	"realsum/internal/netsim"
 	"realsum/internal/report"
 	"realsum/internal/sim"
@@ -443,4 +445,20 @@ func (r PathologicalRow) Get(name string) sim.Result {
 		}
 	}
 	panic(fmt.Sprintf("experiments: row %q has no algorithm %q", r.Corpus, name))
+}
+
+// TestConvolveCancelled: like the collection passes, a prediction step
+// panics with the context's error once the Config's Ctx is cancelled.
+func TestConvolveCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	h := dist.NewHistogram()
+	h.Add(7)
+	p := dist.FromHistogram(h)
+	defer func() {
+		if r := recover(); r != context.Canceled {
+			t.Errorf("convolve panicked with %v, want context.Canceled", r)
+		}
+	}()
+	Config{Ctx: ctx}.convolve(p, p)
 }

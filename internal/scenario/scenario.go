@@ -122,7 +122,8 @@ func Load(path string) (Scenario, error) {
 	defer f.Close()
 	s, err := Parse(f)
 	if err != nil {
-		return Scenario{}, fmt.Errorf("scenario: %s: %w", path, err)
+		// Validate's errors carry the prefix already; decode errors do not.
+		return Scenario{}, fmt.Errorf("scenario: %s: %s", path, strings.TrimPrefix(err.Error(), "scenario: "))
 	}
 	if s.Name == "" {
 		s.Name = strings.TrimSuffix(strings.TrimSuffix(path, ".json"), ".scenario")

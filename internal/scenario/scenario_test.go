@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -207,6 +209,34 @@ func TestParseErrors(t *testing.T) {
 				t.Errorf("error %q does not contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestLoadErrorsNamePathOnce: every Load error carries one "scenario:"
+// prefix and the file's path, whether it comes from opening, decoding or
+// validating the file.
+func TestLoadErrorsNamePathOnce(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ name, json, want string }{
+		{"dir-with-scale.json", `{"dir": "b", "scale": 9}`, "scale 9 scales a synthetic profile"},
+		{"unknown-field.json", `{"profil": "x"}`, `unknown field "profil"`},
+		{"not-json.json", `five`, "invalid character"},
+		{"missing.json", "", "no such file"},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if tc.json != "" {
+			if err := os.WriteFile(path, []byte(tc.json), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := Load(path)
+		if err == nil {
+			t.Fatalf("Load(%s) succeeded", tc.name)
+		}
+		msg := err.Error()
+		if strings.Count(msg, "scenario:") != 1 || !strings.Contains(msg, path) || !strings.Contains(msg, tc.want) {
+			t.Errorf("Load(%s) = %q, want one \"scenario:\", the path and %q", tc.name, msg, tc.want)
+		}
 	}
 }
 

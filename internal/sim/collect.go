@@ -168,29 +168,3 @@ func CollectLocalAnyCells(ctx context.Context, w corpus.Walker, k, window, perWi
 	}
 	return s.Stats(), nil
 }
-
-// Convolve computes p⊛q like dist.PMF.Convolve, running the
-// convolution's output blocks on a Pool of opt.Workers workers (the
-// block index is the submission index; Seed and Progress are unused).
-// Blocks write disjoint bins and each bin's terms keep their order, so
-// the result is bit-identical to p.Convolve(q) at any worker count.
-//
-// ctx cancels between blocks; the partial output is discarded and
-// ctx.Err() returned.
-func Convolve(ctx context.Context, p, q dist.PMF, opt CollectOptions) (dist.PMF, error) {
-	conv := dist.NewConvolution(p, q)
-	pool := NewPool(PoolOptions{Workers: opt.Workers},
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, b int, _ []byte) { conv.Block(b) },
-		nil,
-	)
-	var err error
-	for b := 0; b < conv.Blocks() && err == nil; b++ {
-		err = pool.Submit(ctx, b, nil)
-	}
-	pool.Drain()
-	if err != nil {
-		return dist.PMF{}, err
-	}
-	return conv.PMF(), nil
-}

@@ -3,13 +3,11 @@ package sim
 import (
 	"context"
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 
 	"realsum/internal/algo"
 	"realsum/internal/corpus"
-	"realsum/internal/dist"
 	"realsum/internal/tcpip"
 )
 
@@ -138,41 +136,6 @@ func TestCollectDeterministicAcrossWorkerCounts(t *testing.T) {
 		if got := take(w); got != base {
 			t.Errorf("workers=%d changed results: %+v vs %+v", w, got, base)
 		}
-	}
-}
-
-// TestConvolveDeterministicAcrossWorkerCounts pins sim.Convolve to the
-// serial dist.PMF.Convolve bit for bit at any worker count, on the
-// Table 4 shape: a two-cell PMF against a measured single-cell PMF over
-// ℤ/65535 (32 blocks).
-func TestConvolveDeterministicAcrossWorkerCounts(t *testing.T) {
-	h, err := CollectCellHistogram(ctx(), tiny(24, corpus.CSource, 2, 4800), algo.MustLookup("tcp"), CollectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1 := dist.FromHistogram(h)
-	p2 := p1.Convolve(p1)
-	want := p2.Convolve(p1)
-	for _, w := range []int{1, 2, 8} {
-		got, err := Convolve(ctx(), p2, p1, CollectOptions{Workers: w})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		for c := range want.P {
-			if math.Float64bits(got.P[c]) != math.Float64bits(want.P[c]) {
-				t.Fatalf("workers=%d: bin %d = %v, serial %v", w, c, got.P[c], want.P[c])
-			}
-		}
-	}
-}
-
-func TestConvolveCancellation(t *testing.T) {
-	c, cancel := context.WithCancel(context.Background())
-	cancel()
-	u := dist.NewPMF(65535)
-	u.P[0] = 1
-	if _, err := Convolve(c, u, u, CollectOptions{Workers: 2}); !errors.Is(err, context.Canceled) {
-		t.Errorf("Convolve err = %v, want context.Canceled", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: vet, build, the unlinked-export guard, full test suite,
 # bounded splice-enumerator, splice equality-map (eqAt against its byte
-# loop), PMF-convolution, composed-scoring, Stride composition-law,
+# loop), exact PMF-convolution, composed-scoring, Stride composition-law,
 # Stride delta-law, -dir tree, CRC slicing-vs-scalar and census order/A3
 # fuzz runs, the race detector over the concurrent packages, the
 # workers-determinism guarantees, the CRC engine against its scalar
@@ -48,10 +48,13 @@ echo "== splice equality-map fuzz (10 s of new inputs) =="
 # slots past both SDUs included.
 go test -run '^$' -fuzz FuzzEqAtMatchesByteLoop -fuzztime 10s ./internal/splice/
 
-echo "== PMF convolution fuzz (10 s of new inputs) =="
-# The blocked convolution kernel against the textbook loop over q's
-# support, bit for bit, on mutated moduli (up to 5000) and masses.
-go test -run '^$' -fuzz FuzzConvolveMatchesReference -fuzztime 10s ./internal/dist/
+echo "== exact PMF convolution fuzz (10 s of new inputs) =="
+# The NTT convolution against the exact oracle (the textbook loop over
+# the integer numerators, rounded once through big.Rat), bin for bin and
+# bit for bit, on mutated moduli (up to 5000) and counts; past the
+# primes' bound it must panic instead.  Each input costs a textbook
+# loop, so minimization is capped as for the composed-scoring fuzz.
+go test -run '^$' -fuzz FuzzConvolveMatchesReference -fuzztime 10s -fuzzminimizetime 2s ./internal/dist/
 
 echo "== composed netsim scoring vs full recompute (-race) =="
 # Every candidate netsim judges, scored from per-cell partials, against
