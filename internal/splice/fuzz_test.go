@@ -19,8 +19,10 @@ func FuzzEnumerateMatchesBruteForce(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1}, []byte{0xFF, 0xFF}, uint8(2))
 	f.Add(make([]byte, 150), make([]byte, 7), uint8(5))
 	f.Fuzz(func(t *testing.T, pay1, pay2 []byte, cfgSel uint8) {
-		// Bound sizes so the brute force stays fast: ≤ 5 cells each.
-		const maxPay = 170
+		// Bound sizes so the brute force stays fast: ≤ 7 cells each, so
+		// a pair reaches the Tables 1–3 geometry, where the stack walk
+		// chooses three slots and the suffix table the last three.
+		const maxPay = 260
 		if len(pay1) > maxPay {
 			pay1 = pay1[:maxPay]
 		}

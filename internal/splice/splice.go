@@ -19,30 +19,43 @@
 // yields C(2n−3, n−2) candidates — 462 for the 7-cell packets of a
 // 256-byte transfer (§4.6).
 //
-// Enumeration is an iterative depth-first walk over a stack of branch
-// states, one per chosen cell, each carrying incremental checksum state:
-// the ones-complement sum composes across cells by plain addition
-// (§4.1), the Fletcher pair composes with the positional shift
-// B += A·off (§5.2), and the CRC-32 register is affine over GF(2) in the
-// chosen cells, so each take step extends it with one XOR against a
-// per-pair table of slot contributions (see crc.SlotContribs).  A full
-// splice is therefore classified in O(cells) XOR/add steps instead of
-// O(bytes), which is what makes whole-file-system enumeration cheap.
+// Enumeration chooses a splice's cells slot by slot, and every check a
+// leaf makes is affine in the chosen cells: the ones-complement sum
+// composes across cells by plain addition (§4.1), the Fletcher pair
+// composes with the positional shift B += A·off (§5.2), and the CRC-32
+// register is affine over GF(2), so a cell at a slot contributes one
+// XOR term from a per-pair table (see crc.SlotContribs).  A depth-first
+// walk over a stack of branch states carries the partial values through
+// all but the last three slots.  A per-pair suffix table lists every
+// choice of cells for those three slots, in the walk's order, with
+// their partial values folded, so the leaves under a prefix are one
+// contiguous run of the table.  Under each prefix the walk derives one
+// target per check, and a leaf is classified by equality tests of its
+// entry against them: no per-leaf arithmetic, division or stack push.
+// A pair of 7-cell packets walks its 462 candidates under packet 1's
+// header cell through 84 distinct three-cell tails.
 //
 // The walk counts; it never visits what it can count.  Once the slot-0
 // cell fails the header battery, every splice below it is caught by the
 // header, so the walk adds that subtree's size from a binomial table in
-// O(1) instead of visiting its leaves.  On the Tables 1–3
-// corpora 50.1% of candidates are caught this way, and the per-pair
-// cost (the splice.pair layer of the benchmark) fell from 58 to 33 µs,
-// 64 to 36 ns per candidate, on a 2-vCPU Intel Xeon with go1.24.
+// O(1) instead of visiting its leaves; on the Tables 1–3 corpora 50.1%
+// of candidates are caught this way.  A table entry that meets no
+// target and holds no identical data is a Remaining splice both checks
+// catch, the common case, so its counts come with the table too (by
+// substitution length), and the flat loop over a prefix's run does
+// work only for the rare leaves that match.  Runt geometries the
+// incremental sums cannot express, and pairs whose second packet has
+// two cells or fewer, visit each leaf and run the reference verifier
+// on the materialized splice instead.
 //
 // The per-pair precompute costs table lookups and memory compares: a
 // cell's CRC-32 slot contributions step from slot to slot through a
 // precomputed 48-byte shift operator, four lookups per slot, and the
 // equality maps are filled by slice compares, only for the slots the
-// walk can give each cell.  That took splice.pair from 25.0 to 19.7 µs
-// per pair (27.4 to 21.6 ns per candidate) on the same machine.
+// walk can give each cell.  With the suffix table the per-pair cost
+// (the splice.pair layer of the benchmark) fell from 23.3 to 9.1 µs,
+// 25.5 to 10.0 ns per candidate, on the Tables 1–3 corpora (2-vCPU
+// Intel Xeon, go1.24); the precompute is now the larger part of it.
 package splice
 
 import (
@@ -230,6 +243,15 @@ type pairState struct {
 	crcSlots   int
 	crcContrib []uint64
 	crcWant    uint64
+
+	// Suffix table: every choice of cells for the last k slots, built
+	// on the first prefix that reaches it (buildSuffix).  h = need−k
+	// slots are left to the stack walk.
+	k, h        int
+	tailCells   []suffixEntry // one cell at one tail slot, stride m1+1
+	suffix      []suffixEntry
+	sufStart    []suffixStart // by the slot-h cell i, at index i−h
+	suffixBuilt bool
 
 	stack  []branch // stack[d]: branch state after d cells are chosen
 	sel    []int    // sel[d]: pool index chosen at slot d
@@ -438,19 +460,57 @@ var binomial = func() (t [63][63]uint64) {
 	return t
 }()
 
+// suffixSlots is how many trailing slots the suffix table covers.  A
+// pair of 7-cell packets walks 462 candidates through 84 three-cell
+// tails.  Two slots leave more prefix steps, four cost more to build
+// than they save: BenchmarkEnumeratorPair's 7-cell TCP pair took 6.9
+// and 6.7 µs with them against 5.2 µs, its Fletcher pair 13 and 9.0 µs
+// against 6.7 µs.
+const suffixSlots = 3
+
+// Bits of suffixEntry.eq.
+const (
+	eqP1 = 1 << iota // the cells match packet 1's SDU at their slots
+	eqP2             // the cells match packet 2's SDU at their slots
+)
+
+// suffixEntry folds a run of cells at consecutive tail slots: one cell
+// at its slot in tailCells, a whole choice of the last k slots in the
+// suffix table.
+type suffixEntry struct {
+	crc    uint32 // XOR of the cells' crcContrib terms
+	key    uint16 // checksum key, see tailKey and checksumTarget
+	eq     uint8  // eqP1 | eqP2, AND-ed over the cells
+	fromP1 uint8  // cells taken from packet 1
+}
+
+// suffixStart locates the suffix-table entries whose slot-h cell is at
+// least some pool index i: they run from at to the table's end, and
+// byP1[j] of them take j cells from packet 1.
+type suffixStart struct {
+	at   int
+	byP1 [suffixSlots + 1]uint64
+}
+
 // enumerate walks every candidate splice: each order-preserving choice
 // of need = n2−1 pool cells, in ascending lexicographic order of
-// sel[0..need).  stack[d] is the branch after d cells are chosen, so a
-// take step writes stack[d+1] from stack[d] and backtracking resumes
-// slot d at sel[d]+1.
+// sel[0..need).  A stack walk chooses the first h = need−k slots:
+// stack[d] is the branch after d cells are chosen, so a take step
+// writes stack[d+1] from stack[d] and backtracking resumes slot d at
+// sel[d]+1.  The k = min(3, need−1) last slots come from the suffix
+// table, which lists every choice of them in the same order, so the
+// leaves under a prefix ending at pool index p are the table's entries
+// from sufStart[p+1−h] on, classified in one flat loop (tail).  Runt
+// geometries the table cannot express (slowVerify, need ≤ 1) walk to
+// full depth and visit each leaf.
 //
 // The walk does not descend below a slot-0 cell whose header battery
 // fails: every leaf under it is caught by the header, and a packet-1
 // cell at pool index i heads C(len(pool)−i−1, need−1) of them.  A
 // packet-2 cell at slot 0 forces the rest of the selection to packet 2
-// too, which is the excluded identity.  A pool too large for the
-// binomial table (over 62 cells, far past any walk that finishes)
-// walks every leaf.
+// too, which is the excluded identity, so the walk ends there.  A pool
+// too large for the binomial table (over 62 cells, far past any walk
+// that finishes) walks every prefix.
 func (st *pairState) enumerate() {
 	need := st.n2 - 1
 	n := len(st.pool)
@@ -461,6 +521,11 @@ func (st *pairState) enumerate() {
 		st.leaf(&st.stack[0])
 		return
 	}
+	st.k, st.suffixBuilt = 0, false
+	if !st.slowVerify && need >= 2 {
+		st.k = min(suffixSlots, need-1)
+	}
+	st.h = need - st.k
 	prune := n <= len(binomial)
 	d, i := 0, 0 // i is the next pool index to try at slot d
 	for {
@@ -474,23 +539,28 @@ func (st *pairState) enumerate() {
 			i = st.sel[d] + 1
 			continue
 		}
-		if d == 0 && prune && !st.headerOK[i] {
-			if i < st.m1 {
+		if d == 0 {
+			if i >= st.m1 {
+				return
+			}
+			if prune && !st.headerOK[i] {
 				c := binomial[n-i-1][need-1]
 				st.counts.Total += c
 				st.counts.CaughtByHeader += c
+				i++
+				continue
 			}
-			i++
-			continue
 		}
 		st.sel[d] = i
 		st.extend(&st.stack[d], &st.stack[d+1], i, d)
 		i++
-		if d+1 == need {
+		if d+1 < st.h {
+			d++
+		} else if st.k == 0 {
 			st.leaf(&st.stack[need])
-			continue
+		} else {
+			st.tail(&st.stack[st.h])
 		}
-		d++
 	}
 }
 
@@ -523,6 +593,222 @@ func (st *pairState) extend(b, t *branch, i, s int) {
 	t.eq2 = b.eq2 && st.eq2[i*st.n2+s]
 }
 
+// tailKey returns pool cell i's checksum key at tail slot s.  The ones-
+// complement sum is position-free, so it is the cell's sum.  Fletcher's
+// B term colours each byte by its distance from the end (§5.2), so it
+// is the cell's pair shifted past the slots after s and the pinned last
+// cell, packed as A<<8 | B.
+func (st *pairState) tailKey(i, s int) uint16 {
+	if st.fmod == 0 {
+		return st.sum48[i]
+	}
+	p := st.fmod.ShiftedBy(st.pair48[i], (st.n2-2-s)*atm.PayloadSize+st.lastLen)
+	return p.A<<8 | p.B
+}
+
+// addKeys composes two checksum keys: ones-complement addition, or for
+// Fletcher lane-wise addition mod 255 or 256 of reduced values.
+func (st *pairState) addKeys(x, y uint16) uint16 {
+	if st.fmod == 0 {
+		return onescomp.Add(x, y)
+	}
+	m := uint16(st.fmod)
+	a, b := x>>8+y>>8, x&0xFF+y&0xFF
+	if a >= m {
+		a -= m
+	}
+	if b >= m {
+		b -= m
+	}
+	return a<<8 | b
+}
+
+// buildSuffix fills the suffix table: every choice of cells for the
+// tail slots h … need−1 in ascending lexicographic order.  Slot h+j
+// holds one of the pool indices h+j … h+j+m1, the same slotRange bounds
+// the precompute filled, and tailCells holds each such (cell, slot)
+// folded once.
+func (st *pairState) buildSuffix() {
+	w := st.m1 + 1
+	st.tailCells = grow(st.tailCells, st.k*w)
+	for j := range st.k {
+		s := st.h + j
+		for i := s; i < s+w; i++ {
+			c := suffixEntry{key: st.tailKey(i, s)}
+			if st.cfg.CheckCRC {
+				c.crc = uint32(st.crcContrib[i*st.crcSlots+s])
+			}
+			if st.eq1[i*st.n2+s] {
+				c.eq |= eqP1
+			}
+			if st.eq2[i*st.n2+s] {
+				c.eq |= eqP2
+			}
+			if i < st.m1 {
+				c.fromP1 = 1
+			}
+			st.tailCells[j*w+i-s] = c
+		}
+	}
+	st.sufStart = grow(st.sufStart, w)
+	st.suffix = st.suffix[:0]
+	st.fillSuffix(0, st.h, suffixEntry{eq: eqP1 | eqP2})
+	var byP1 [suffixSlots + 1]uint64
+	end := len(st.suffix)
+	for x := w - 1; x >= 0; x-- {
+		for _, e := range st.suffix[st.sufStart[x].at:end] {
+			byP1[e.fromP1]++
+		}
+		st.sufStart[x].byP1 = byP1
+		end = st.sufStart[x].at
+	}
+	st.suffixBuilt = true
+}
+
+// fillSuffix appends every completion of the partial tail e, whose
+// next slot is h+j and whose next cell is at least lo.
+func (st *pairState) fillSuffix(j, lo int, e suffixEntry) {
+	s := st.h + j
+	row := j*(st.m1+1) - s // tailCells[row+i] is cell i at slot s
+	for i := lo; i <= s+st.m1; i++ {
+		if j == 0 {
+			st.sufStart[i-s].at = len(st.suffix)
+		}
+		c := st.tailCells[row+i]
+		t := suffixEntry{
+			crc:    e.crc ^ c.crc,
+			key:    st.addKeys(e.key, c.key),
+			eq:     e.eq & c.eq,
+			fromP1: e.fromP1 + c.fromP1,
+		}
+		if j+1 < st.k {
+			st.fillSuffix(j+1, i+1, t)
+			continue
+		}
+		if st.fmod == 0 {
+			t.key = onescomp.Normalize(t.key)
+		}
+		st.suffix = append(st.suffix, t)
+	}
+}
+
+// checksumTarget returns the key a tail under prefix b must carry for
+// the splice to pass the transport checksum.  Every check is affine in
+// the chosen cells, so it is an equality between the tail's key and a
+// value of the prefix.
+//
+// Fletcher passes when the whole pair is (0, 0): the tail's key must be
+// the negation of the prefix, shifted past the tail, appended to the
+// pinned last cell.  The Internet checksum passes when the total sum,
+// pseudo-header included, hits a residue r mod 0xFFFF that depends on
+// the stored field alone: 0 for the inverted checksum at an even
+// offset, and otherwise a function of the field's value, which the
+// slot-0 cell (in the prefix, as h ≥ 1) or the pinned last cell holds.
+func (st *pairState) checksumTarget(b *branch) uint16 {
+	if m := st.fmod; m != 0 {
+		q := m.Append(b.fpair, st.k*atm.PayloadSize+st.lastLen, st.pairLast)
+		neg := func(x uint16) uint16 {
+			if x == 0 {
+				return 0
+			}
+			return uint16(m) - x
+		}
+		return neg(q.A)<<8 | neg(q.B)
+	}
+	total := onescomp.Add(onescomp.Add(b.tcpSum, st.sumLast), st.pseudo)
+	evenField := (st.fieldOff-tcpip.IPv4HeaderLen)%2 == 0
+	var r uint16
+	if st.cfg.Opts.NoInvert || !evenField {
+		// The field stores ^(sum without it) when inverted and that sum
+		// itself when not, so the total must be stored+c or c−stored,
+		// where c is the field's contribution: stored, or stored
+		// byte-swapped at an odd offset.
+		cell, off := st.lastCell, st.fieldOff-(st.n2-1)*atm.PayloadSize
+		if st.cfg.Opts.Placement == tcpip.PlacementHeader {
+			cell, off = st.pool[st.sel[0]], st.fieldOff
+		}
+		stored := uint16(cell[off])<<8 | uint16(cell[off+1])
+		c := stored
+		if !evenField {
+			c = onescomp.Swap(stored)
+		}
+		if st.cfg.Opts.NoInvert {
+			r = onescomp.Add(stored, c)
+		} else {
+			r = onescomp.Sub(c, stored)
+		}
+	}
+	return onescomp.Normalize(onescomp.Sub(r, total))
+}
+
+// tail classifies every leaf under the prefix b: the suffix-table
+// entries whose first cell follows the prefix's last.  Each check is
+// one equality against a per-prefix target, and an entry that meets no
+// target is a Remaining splice both checks catch, so the loop skips it:
+// the entries' counts by bucket come precomputed with sufStart.
+func (st *pairState) tail(b *branch) {
+	if !st.suffixBuilt {
+		st.buildSuffix()
+	}
+	start := &st.sufStart[st.sel[st.h-1]+1-st.h]
+	ents := st.suffix[start.at:]
+	c := &st.counts
+	c.Total += uint64(len(ents))
+	if !st.headerOK[st.sel[0]] {
+		c.CaughtByHeader += uint64(len(ents))
+		return
+	}
+	want := st.checksumTarget(b)
+	// With the CRC off every entry's crc is 0 and the target ^0.
+	crcWant := ^uint32(0)
+	if st.cfg.CheckCRC {
+		crcWant = uint32(st.crcWant ^ b.crcAcc)
+	}
+	// An entry is identical data when its eq bits meet the prefix's:
+	// packet 2 throughout, or packet 1 throughout with the last cell.
+	var eqMask uint8
+	if b.eq2 {
+		eqMask |= eqP2
+	}
+	if b.eq1 && st.lastEq1 {
+		eqMask |= eqP1
+	}
+	rem := start.byP1
+	var miss [suffixSlots + 1]uint64
+	for _, e := range ents {
+		if e.key != want && e.crc != crcWant && e.eq&eqMask == 0 {
+			continue
+		}
+		ck := e.key == want
+		if e.eq&eqMask != 0 {
+			c.Identical++
+			if ck {
+				c.IdenticalPassedChecksum++
+			} else {
+				c.IdenticalFailedChecksum++
+			}
+			rem[e.fromP1]--
+			continue
+		}
+		if ck {
+			miss[e.fromP1]++
+		}
+		if e.crc == crcWant {
+			c.MissedByCRC++
+			if ck {
+				c.MissedByBoth++
+			}
+		}
+	}
+	for j := range st.k + 1 {
+		subLen := min(st.n2-b.fromP1-j, MaxCells-1) // packet-2 cells, incl. trailer
+		c.Remaining += rem[j]
+		c.RemainingByLen[subLen] += rem[j]
+		c.MissedByChecksum += miss[j]
+		c.MissedByLen[subLen] += miss[j]
+	}
+}
+
 // materializeSDU rebuilds the splice's SDU bytes from the current
 // selection stack plus the pinned last cell.
 func (st *pairState) materializeSDU() []byte {
@@ -538,7 +824,9 @@ func (st *pairState) materializeSDU() []byte {
 	return buf[:st.l2]
 }
 
-// leaf finalizes one complete splice and classifies it.
+// leaf classifies one complete splice of a geometry the suffix table
+// does not cover: the transport checksum runs the reference verifier
+// over the materialized SDU.
 func (st *pairState) leaf(b *branch) {
 	if b.fromP1 == 0 {
 		return // the identity: packet 2 undamaged, packet 1 wholly lost
@@ -555,8 +843,7 @@ func (st *pairState) leaf(b *branch) {
 		return
 	}
 
-	// Transport checksum over the completed splice.
-	ckOK := st.checksumPasses(b)
+	ckOK := tcpip.VerifyPacket(st.materializeSDU(), st.cfg.Opts)
 
 	// Identical data?
 	identical := b.eq2 || (b.eq1 && st.lastEq1)
@@ -571,10 +858,7 @@ func (st *pairState) leaf(b *branch) {
 	}
 
 	st.counts.Remaining++
-	subLen := st.n2 - b.fromP1 // cells taken from packet 2, incl. trailer
-	if subLen >= MaxCells {
-		subLen = MaxCells - 1
-	}
+	subLen := min(st.n2-b.fromP1, MaxCells-1) // cells taken from packet 2, incl. trailer
 	st.counts.RemainingByLen[subLen]++
 
 	if ckOK {
@@ -587,53 +871,4 @@ func (st *pairState) leaf(b *branch) {
 			st.counts.MissedByBoth++
 		}
 	}
-}
-
-// checksumPasses evaluates the transport checksum of the completed
-// splice from the branch's incremental state plus the pinned last cell.
-// Runt-packet geometries that invalidate the incremental state fall
-// back to materializing the SDU and running the reference verifier.
-func (st *pairState) checksumPasses(b *branch) bool {
-	if st.slowVerify {
-		return tcpip.VerifyPacket(st.materializeSDU(), st.cfg.Opts)
-	}
-	if st.fmod != 0 {
-		acc := st.fmod.Append(b.fpair, st.lastLen, st.pairLast)
-		return acc.A%uint16(st.fmod) == 0 && acc.B%uint16(st.fmod) == 0
-	}
-	// Internet checksum: total sum over pseudo-header + segment (bytes
-	// 20..l2 of the splice), which includes the stored field.
-	total := onescomp.Add(b.tcpSum, st.sumLast)
-	total = onescomp.Add(total, st.pseudo)
-
-	evenField := (st.fieldOff-tcpip.IPv4HeaderLen)%2 == 0
-	if !st.cfg.Opts.NoInvert && evenField {
-		// Standard inverted checksum at an aligned offset: the packet
-		// verifies exactly when the total is a representation of
-		// ones-complement zero.
-		return onescomp.IsZero(total)
-	}
-
-	// Non-inverted or odd-offset fields need the stored value.
-	var stored uint16
-	if st.cfg.Opts.Placement == tcpip.PlacementHeader {
-		cell := st.lastCell
-		if len(st.sel) > 0 {
-			cell = st.pool[st.sel[0]]
-		}
-		stored = uint16(cell[36])<<8 | uint16(cell[37])
-	} else {
-		off := st.fieldOff - (st.n2-1)*atm.PayloadSize
-		stored = uint16(st.lastCell[off])<<8 | uint16(st.lastCell[off+1])
-	}
-	contrib := stored
-	if !evenField {
-		contrib = onescomp.Swap(stored)
-	}
-	sumZeroed := onescomp.Sub(total, contrib)
-	want := onescomp.Neg(sumZeroed)
-	if st.cfg.Opts.NoInvert {
-		want = sumZeroed
-	}
-	return onescomp.Congruent(stored, want)
 }
