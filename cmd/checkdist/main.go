@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"realsum/internal/corpus"
@@ -67,6 +68,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	usage := func(format string, args ...any) int {
 		fmt.Fprintf(stderr, "checkdist: "+format+"\n", args...)
 		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected argument %q (every input is a flag)", fs.Arg(0))
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return usage("-scale must be a positive finite number (got %v)", *scale)
 	}
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })

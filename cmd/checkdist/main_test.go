@@ -107,6 +107,11 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{[]string{"-dir", ".", "-scale", "9"}, "-scale scales a synthetic profile; it does not apply to -dir"},
 		{[]string{"-census", "-dir", ".", "-scale", "9"}, "-scale scales a synthetic profile; it does not apply to -dir"},
 		{[]string{"-x"}, "-x"},
+		{[]string{"-scale", "-2"}, "-scale must be a positive finite number (got -2)"},
+		{[]string{"-scale", "0"}, "-scale must be a positive finite number (got 0)"},
+		{[]string{"-fig2", "-scale", "NaN"}, "-scale must be a positive finite number (got NaN)"},
+		{[]string{"-census", "-scale", "Inf"}, "-scale must be a positive finite number (got +Inf)"},
+		{[]string{"-k", "1", "extra"}, `unexpected argument "extra"`},
 	} {
 		code, out, errOut := checkdist(t, tc.args...)
 		if code != 2 || out != "" || !strings.Contains(errOut, tc.msg) {

@@ -58,6 +58,12 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{[]string{"-run", "tabel1"}, `unknown experiment "tabel1"`},
 		{[]string{"-run", "table1,figure9", "-scale", "0.01"}, `unknown experiment "figure9"`},
 		{[]string{"-x"}, "-x"},
+		{[]string{"-scale", "-1"}, "-scale must be a positive finite number (got -1)"},
+		{[]string{"-scale", "0", "-run", "table1"}, "-scale must be a positive finite number (got 0)"},
+		{[]string{"-scale", "NaN"}, "-scale must be a positive finite number (got NaN)"},
+		{[]string{"-census", "-scale", "+Inf"}, "-scale must be a positive finite number (got +Inf)"},
+		{[]string{"-run", "table1", "extra"}, `unexpected argument "extra"`},
+		{[]string{"-list", "table1"}, `unexpected argument "table1"`},
 	} {
 		code, out, errOut := paper(t, tc.args...)
 		if code != 2 || out != "" || !strings.Contains(errOut, tc.msg) {

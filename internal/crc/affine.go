@@ -129,32 +129,6 @@ func (t *Table) rawLowBit() uint {
 // once and compare raw registers directly.
 func (t *Table) RawFromCRC(crc uint64) uint64 { return t.unfinalizeReg(crc) }
 
-// SlotContribs fills dst[s], for each of the len(dst) slots, with the
-// raw-register contribution of data when its bytes occupy slot s of a
-// larger message.  Slot s is followed by len(dst)−1−s further slots of
-// stride's length and then by tail's length of message bytes: stride
-// and tail are the shift operators past one slot and past the tail.
-//
-// With I the initial raw register and cell_s the bytes chosen for slot
-// s, the register after the whole message is
-//
-//	RawShift(I, totalLen) ⊕ Σ_s contrib(cell_s, s)
-//
-// so an enumeration over slot assignments pays one XOR per slot instead
-// of one table pass per byte.  Filling the row costs one table pass
-// over data and then one Shift.Apply, ⌈w/8⌉ lookups, per slot.
-func (t *Table) SlotContribs(dst []uint64, data []byte, stride, tail *Shift) {
-	if len(dst) == 0 {
-		return
-	}
-	c := tail.Apply(t.updateSlicing(0, data))
-	dst[len(dst)-1] = c
-	for s := len(dst) - 2; s >= 0; s-- {
-		c = stride.Apply(c)
-		dst[s] = c
-	}
-}
-
 // Delta re-derives an n-byte block's RawPartial after a few of its bytes
 // change.  RawPartial is linear over GF(2) in the block, so
 //

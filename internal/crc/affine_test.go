@@ -54,10 +54,23 @@ func TestRawFromCRCInvertsRawCRC(t *testing.T) {
 	}
 }
 
-// TestSlotContribsDecomposition is the identity the splice fast path
-// rests on: base ⊕ Σ contrib[slot] equals the register of the whole
-// message, for every algorithm and assorted geometries.
-func TestSlotContribsDecomposition(t *testing.T) {
+// slotTerm is a cell's contribution to a message register when d
+// further strides and then the tail follow it: its raw partial shifted
+// past the tail, then one stride at a time.  The splice enumerator
+// keeps each cell's terms by d in exactly this way.
+func slotTerm(tab *Table, cell []byte, d int, stride, tail *Shift) uint64 {
+	term := tail.Apply(tab.RawUpdate(0, cell))
+	for range d {
+		term = stride.Apply(term)
+	}
+	return term
+}
+
+// TestSlotTermsDecomposition is the identity the splice fast path
+// rests on: base ⊕ Σ slotTerm(cell at slot s, slots−1−s) equals the
+// register of the whole message, for every algorithm and assorted
+// geometries.
+func TestSlotTermsDecomposition(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	type geom struct{ slots, stride, tail int }
 	geoms := []geom{
@@ -76,14 +89,9 @@ func TestSlotContribsDecomposition(t *testing.T) {
 				base ^= tab.RawUpdate(0, msg[g.slots*g.stride:])
 			}
 			acc := base
-			contrib := make([]uint64, g.slots)
 			stride, tail := tab.NewShift(g.stride), tab.NewShift(g.tail)
 			for s := 0; s < g.slots; s++ {
-				cell := msg[s*g.stride : s*g.stride+g.stride]
-				tab.SlotContribs(contrib, cell, stride, tail)
-				// SlotContribs fills every slot's contribution for this
-				// cell; pick the one where the cell actually sits.
-				acc ^= contrib[s]
+				acc ^= slotTerm(tab, msg[s*g.stride:(s+1)*g.stride], g.slots-1-s, stride, tail)
 			}
 			want := tab.RawUpdate(tab.RawInit(), msg)
 			if acc != want {
@@ -96,35 +104,19 @@ func TestSlotContribsDecomposition(t *testing.T) {
 	}
 }
 
-// TestSlotContribsAgainstScalar pins each contribution to its
-// first-principles definition: the scalar oracle run over the cell
-// followed by the explicit zero bytes that come after its slot.
-func TestSlotContribsAgainstScalar(t *testing.T) {
+// TestSlotTermsAgainstScalar pins each term to its first-principles
+// definition: the scalar oracle run over the cell followed by the
+// explicit zero bytes that come after its slot.
+func TestSlotTermsAgainstScalar(t *testing.T) {
 	tab := New(CRC32)
 	cell := []byte("forty-eight bytes of cell payload, more or less!")[:48]
-	const slots, stride, tail = 6, 48, 44
-	var got [slots]uint64
-	tab.SlotContribs(got[:], cell, tab.NewShift(stride), tab.NewShift(tail))
-	for s := 0; s < slots; s++ {
-		after := (slots-1-s)*stride + tail
-		want := tab.updateScalar(tab.updateScalar(0, cell), make([]byte, after))
-		if got[s] != want {
-			t.Errorf("slot %d: contrib %#x, want %#x", s, got[s], want)
+	const stride, tail = 48, 44
+	st, tl := tab.NewShift(stride), tab.NewShift(tail)
+	for d := range 6 {
+		want := tab.updateScalar(tab.updateScalar(0, cell), make([]byte, d*stride+tail))
+		if got := slotTerm(tab, cell, d, st, tl); got != want {
+			t.Errorf("distance %d: term %#x, want %#x", d, got, want)
 		}
-	}
-}
-
-func BenchmarkSlotContribs(b *testing.B) {
-	tab := New(CRC32)
-	cell := make([]byte, 48)
-	for i := range cell {
-		cell[i] = byte(i * 7)
-	}
-	var dst [6]uint64
-	stride, tail := tab.NewShift(48), tab.NewShift(44)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tab.SlotContribs(dst[:], cell, stride, tail)
 	}
 }
 

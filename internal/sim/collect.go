@@ -59,7 +59,9 @@ type CollectOptions struct {
 // (Run) and every distribution pass: Figures 2–3 and Tables 4–6.  It is
 // the one-shot form of Pool — a walk feeds the bounded job queue, each
 // worker accumulates into a private shard holding no locks, and the
-// shards merge into a fresh result shard at the drain.
+// shards merge into a fresh result shard at the drain.  The walk runs
+// up to queuePerWorker files per worker ahead of the workers, so at
+// most (queuePerWorker+1)·workers walked files are held at once.
 //
 // Determinism contract: file receives the file's walk-order index, so
 // any per-file seeding depends only on corpus order, never on worker

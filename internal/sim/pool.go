@@ -29,6 +29,14 @@ func (o PoolOptions) workers() int {
 	return o.Workers
 }
 
+// queuePerWorker is how many submitted files may wait per worker.  A
+// full queue blocks Submit, so a producer that outpaces the workers
+// stalls instead of buffering unboundedly; a queue deeper than one file
+// lets a producer whose per-file cost varies (a corpus walk that
+// generates each file) run ahead through a slow file while the workers
+// drain the ones before it.
+const queuePerWorker = 8
+
 type poolJob struct {
 	idx  int
 	data []byte
@@ -39,6 +47,8 @@ type poolJob struct {
 // instead of a single corpus walk, so a long-running caller (a
 // verification stream in cmd/cksumd) can keep pushing files for as long
 // as it likes and publish merged results in batches along the way.
+// Its queue holds queuePerWorker files per worker; a full queue blocks
+// Submit.
 //
 // Determinism contract (inherited from Collect): file receives the
 // submission-order index, so per-file work depends only on feed order,
@@ -70,10 +80,7 @@ func NewPool[S any](opt PoolOptions,
 ) *Pool[S] {
 	nw := opt.workers()
 	p := &Pool[S]{
-		// One pending job per worker bounds the queue: a full queue
-		// blocks Submit, so a producer that outpaces the workers stalls
-		// instead of buffering unboundedly.
-		jobs:   make(chan poolJob, nw),
+		jobs:   make(chan poolJob, queuePerWorker*nw),
 		shards: make([]S, nw),
 		flush:  flush,
 	}
@@ -98,7 +105,9 @@ func NewPool[S any](opt PoolOptions,
 }
 
 // Submit queues one file for processing, blocking while the queue is
-// full (backpressure).  idx must be the caller's submission counter —
+// full (backpressure): at most queuePerWorker files per worker wait
+// behind the ones the workers hold, so a pool holds at most
+// (queuePerWorker+1)·workers submitted files at once.  idx must be the caller's submission counter —
 // the per-file determinism handle.  Returns ctx.Err() if the context is
 // cancelled first; files already queued are still processed by Drain.
 func (p *Pool[S]) Submit(ctx context.Context, idx int, data []byte) error {

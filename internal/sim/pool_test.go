@@ -78,47 +78,72 @@ func TestPoolBatchedFlush(t *testing.T) {
 	}
 }
 
-// TestPoolBackpressure pins the bounded-queue contract: with one
-// blocked worker, and so a one-job queue, the third Submit cannot
-// complete until the worker frees a slot.
+// TestPoolBackpressure pins the bounded-queue contract: with every
+// worker blocked, exactly queuePerWorker·workers further submissions
+// queue, and the next Submit cannot complete until a worker frees a
+// slot.
 func TestPoolBackpressure(t *testing.T) {
-	gate := make(chan struct{})
-	started := make(chan struct{}, 16)
-	pool := NewPool(PoolOptions{Workers: 1},
-		func() *countShard { return &countShard{} },
-		func(s *countShard, idx int, data []byte) {
-			started <- struct{}{}
-			<-gate
-		},
-		nil,
-	)
-	ctx := context.Background()
-	// First job occupies the worker, second fills the queue.
-	if err := pool.Submit(ctx, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	if err := pool.Submit(ctx, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	third := make(chan error, 1)
-	go func() { third <- pool.Submit(ctx, 2, nil) }()
-	select {
-	case err := <-third:
-		t.Fatalf("third Submit completed (%v) despite a full queue", err)
-	case <-time.After(50 * time.Millisecond):
-		// Blocked, as the backpressure contract requires.
-	}
-	close(gate)
-	select {
-	case err := <-third:
-		if err != nil {
-			t.Fatalf("third Submit after release: %v", err)
+	for _, workers := range []int{1, 2} {
+		gate := make(chan struct{})
+		// Room for every submission, so released workers never block.
+		started := make(chan struct{}, (queuePerWorker+1)*workers+1)
+		pool := NewPool(PoolOptions{Workers: workers},
+			func() *countShard { return &countShard{} },
+			func(s *countShard, idx int, data []byte) {
+				started <- struct{}{}
+				<-gate
+			},
+			nil,
+		)
+		ctx := context.Background()
+		// The first submissions occupy the workers.
+		idx := 0
+		for ; idx < workers; idx++ {
+			if err := pool.Submit(ctx, idx, nil); err != nil {
+				t.Fatal(err)
+			}
+			<-started
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("third Submit still blocked after the worker drained")
+		// The queue takes queuePerWorker files per worker without
+		// blocking.
+		queued := make(chan error, 1)
+		go func() {
+			for i := range queuePerWorker * workers {
+				if err := pool.Submit(ctx, workers+i, nil); err != nil {
+					queued <- err
+					return
+				}
+			}
+			queued <- nil
+		}()
+		select {
+		case err := <-queued:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("workers=%d: %d submissions did not all queue behind the blocked workers", workers, queuePerWorker*workers)
+		}
+		idx += queuePerWorker * workers
+		next := make(chan error, 1)
+		go func() { next <- pool.Submit(ctx, idx, nil) }()
+		select {
+		case err := <-next:
+			t.Fatalf("workers=%d: Submit %d completed (%v) despite a full queue", workers, idx, err)
+		case <-time.After(50 * time.Millisecond):
+			// Blocked, as the backpressure contract requires.
+		}
+		close(gate)
+		select {
+		case err := <-next:
+			if err != nil {
+				t.Fatalf("workers=%d: Submit after release: %v", workers, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("workers=%d: Submit still blocked after the workers drained", workers)
+		}
+		pool.Drain()
 	}
-	pool.Drain()
 }
 
 // TestPoolSubmitCancel verifies a cancelled context unblocks a
@@ -142,18 +167,20 @@ func TestPoolSubmitCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	if err := pool.Submit(ctx, 1, nil); err != nil {
-		t.Fatal(err)
+	for i := 1; i <= queuePerWorker; i++ {
+		if err := pool.Submit(ctx, i, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	blocked := make(chan error, 1)
-	go func() { blocked <- pool.Submit(ctx, 2, nil) }()
+	go func() { blocked <- pool.Submit(ctx, queuePerWorker+1, nil) }()
 	cancel()
 	if err := <-blocked; err != context.Canceled {
 		t.Fatalf("cancelled Submit returned %v, want context.Canceled", err)
 	}
 	close(gate)
 	pool.Drain()
-	if got := done.Load(); got != 2 {
-		t.Errorf("drain processed %d queued files, want 2 (cancel must not drop queued work)", got)
+	if got, want := done.Load(), int64(1+queuePerWorker); got != want {
+		t.Errorf("drain processed %d queued files, want %d (cancel must not drop queued work)", got, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"realsum/internal/atm"
+	"realsum/internal/corpus"
 	"realsum/internal/fletcher"
 	"realsum/internal/tcpip"
 )
@@ -278,6 +279,149 @@ func TestSuffixTableGeometries(t *testing.T) {
 	}
 }
 
+// TestCarriedMatchesFresh checks the carry of packet 2's precompute
+// into the next pair: one enumerator walks flows, the way sim.Run feeds
+// it, from two alternating buffers, and every Counts must equal a fresh
+// EnumeratePair's.  The flows mix runts and cell-count changes in both
+// directions; the carried packet 1 meets a different config than the
+// one it was precomputed under (the CRC check on, off and on again,
+// Fletcher-255 and -256 in turn, ZeroIPHeader, both placements, and
+// flows whose Fletcher modulus flips on every pair); and a
+// caller rewrites packet 2's buffer in place before passing it as the
+// next packet 1, which the carry must notice.
+func TestCarriedMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewPCG(33, 1))
+	sizes := []int{256, 256, 7, 256, 1024, 100, 53, 256, 256, 1, 2, 150, 8, 49, 256, 255, 97, 1000, 256, 160}
+	crcOn := Config{CheckCRC: true}
+	switched := []Config{
+		crcOn,
+		{},
+		crcOn,
+		{Opts: tcpip.BuildOptions{Alg: tcpip.AlgFletcher255}, CheckCRC: true},
+		{Opts: tcpip.BuildOptions{Alg: tcpip.AlgFletcher256}, CheckCRC: true},
+		{Opts: tcpip.BuildOptions{Alg: tcpip.AlgFletcher255, Placement: tcpip.PlacementTrailer}},
+		{Opts: tcpip.BuildOptions{ZeroIPHeader: true}, CheckCRC: true},
+		{Opts: tcpip.BuildOptions{Placement: tcpip.PlacementTrailer}, CheckCRC: true},
+		{Opts: tcpip.BuildOptions{Alg: tcpip.AlgFletcher256, ZeroIPHeader: true, NoInvert: true}, CheckCRC: true},
+	}
+	e := NewEnumerator()
+	var carried, fresh int
+	pair := func(p1, p2 []byte, cfg Config, what string) {
+		t.Helper()
+		kept := e.pk2
+		got := e.Pair(p1, p2, cfg)
+		if e.pk1 == kept {
+			carried++
+		} else {
+			fresh++
+		}
+		if want := EnumeratePair(p1, p2, cfg); got != want {
+			t.Errorf("%s %+v crc=%v len %d→%d:\n got %+v\nwant %+v", what, cfg.Opts, cfg.CheckCRC, len(p1), len(p2), got, want)
+		}
+	}
+	// walk feeds one flow of the given payload sizes, choosing each
+	// pair's config with cfgFor and, when rewrite says so, overwriting
+	// packet 2's buffer with another packet of its length before it
+	// becomes packet 1.
+	walk := func(what string, opts tcpip.BuildOptions, cfgFor func(i int) Config, rewrite func(i int) bool) {
+		flow := tcpip.NewLoopbackFlow(opts)
+		var bufs [2][]byte
+		var prev []byte
+		for i, n := range sizes {
+			pkt := flow.NextPacket(bufs[i&1][:0], makePayload(rng, n, rng.IntN(5)))
+			bufs[i&1] = pkt[:0]
+			if prev != nil {
+				pair(prev, pkt, cfgFor(i), fmt.Sprintf("%s pair %d", what, i))
+			}
+			if rewrite(i) {
+				other := tcpip.NewLoopbackFlow(opts).NextPacket(nil, makePayload(rng, n, 0))
+				copy(pkt, other)
+			}
+			prev = pkt
+		}
+	}
+	never := func(int) bool { return false }
+	for ci, cfg := range fullMatrixConfigs() {
+		noCRC := cfg
+		noCRC.CheckCRC = false
+		walk(fmt.Sprintf("cfg[%d]", ci), cfg.Opts, func(int) Config { return cfg }, never)
+		walk(fmt.Sprintf("cfg[%d] (no CRC)", ci), cfg.Opts, func(int) Config { return noCRC }, never)
+	}
+	wantCarried := carried
+	walk("switched", tcpip.BuildOptions{}, func(i int) Config { return switched[i%len(switched)] }, never)
+	walk("switched trailer", tcpip.BuildOptions{Placement: tcpip.PlacementTrailer},
+		func(i int) Config { return switched[(i+4)%len(switched)] }, never)
+	// Fletcher pairs are kept per modulus: every pair switches it.
+	f255 := Config{Opts: tcpip.BuildOptions{Alg: tcpip.AlgFletcher255}, CheckCRC: true}
+	f256 := Config{Opts: tcpip.BuildOptions{Alg: tcpip.AlgFletcher256}, CheckCRC: true}
+	for r := range 4 {
+		walk(fmt.Sprintf("moduli %d", r), f255.Opts, func(i int) Config { return [2]Config{f255, f256}[(i+r)%2] }, never)
+	}
+	if want := 6 * (len(sizes) - 2); carried-wantCarried != want {
+		t.Errorf("carried %d of the switched flows' pairs, want all but their first (%d)", carried-wantCarried, want)
+	}
+	before := carried
+	walk("rewritten", tcpip.BuildOptions{}, func(int) Config { return crcOn }, func(i int) bool { return i%2 == 0 })
+	if got, want := carried-before, (len(sizes)-2)/2; got != want {
+		t.Errorf("carried %d of the rewritten flow's pairs, want the %d whose packet 1 was not rewritten", got, want)
+	}
+	if fresh == 0 || carried == 0 {
+		t.Fatalf("%d carried and %d fresh pairs; the test needs both", carried, fresh)
+	}
+}
+
+// TestCRCTargetMatchesTrailer holds the CRC-32 target, the XOR of
+// packet 2's own cells' slot terms (the identity splice), to the
+// formula it replaced: the trailer's CRC unfinalized and folded with
+// the base term, the init register shifted past the splice and the
+// pinned cell's covered bytes.  Payload sizes 0 to 150 give every
+// packet-2 geometry from one cell (need 0) up to four, including each
+// runt whose last cell carries no SDU byte, under the full options
+// matrix.
+func TestCRCTargetMatchesTrailer(t *testing.T) {
+	trailerWant := func(p2 []byte) uint64 {
+		cells, err := atm.AppendSegment(nil, p2, 0, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := cells[len(cells)-1].Payload[:]
+		tr := atm.DecodeTrailer(last)
+		reg := tailShift.Apply(crc32Table.RawInit())
+		for range len(cells) - 1 {
+			reg = cellShift.Apply(reg)
+		}
+		base := reg ^ crc32Table.RawUpdate(0, last[:crcCoveredTail])
+		return crc32Table.RawFromCRC(uint64(tr.CRC)) ^ base
+	}
+	rng := rand.New(rand.NewPCG(33, 2))
+	e := NewEnumerator()
+	needs := map[int]int{}
+	runts := 0
+	for ci, cfg := range fullMatrixConfigs() {
+		flow := tcpip.NewLoopbackFlow(cfg.Opts)
+		for pay := 0; pay <= 150; pay++ {
+			p1 := flow.NextPacket(nil, makePayload(rng, 256, rng.IntN(5)))
+			p2 := flow.NextPacket(nil, makePayload(rng, pay, rng.IntN(5)))
+			e.Pair(p1, p2, cfg)
+			if got, want := e.st.crcWant, trailerWant(p2); got != want {
+				t.Errorf("cfg[%d] %+v payload %d: crcWant %#x, trailer formula %#x", ci, cfg.Opts, pay, got, want)
+			}
+			needs[e.st.n2-1]++
+			if len(p2) <= (e.st.n2-1)*atm.PayloadSize {
+				runts++
+			}
+		}
+	}
+	for _, need := range []int{0, 1, 2} {
+		if needs[need] == 0 {
+			t.Errorf("no packet 2 with need %d", need)
+		}
+	}
+	if runts == 0 {
+		t.Error("no packet 2 whose last cell carries no SDU byte")
+	}
+}
+
 // TestEnumeratorMatchesEnumeratePair pins the wrapper to the reusable
 // path.
 func TestEnumeratorMatchesEnumeratePair(t *testing.T) {
@@ -385,10 +529,11 @@ func TestBinomialTable(t *testing.T) {
 }
 
 // TestEnumeratorSteadyStateZeroAllocs is the allocation regression
-// gate: once warm, enumerating a pair must not allocate, for the plain
-// TCP path, the Fletcher/trailer path, the CRC-checked path, and the
-// checksum targets that read the stored field (non-inverted, and a
-// trailer field at an odd offset) alike.
+// gate: once warm, enumerating a pair must not allocate, fresh or with
+// packet 1 carried from the previous pair, for the plain TCP path, the
+// Fletcher/trailer path, the CRC-checked path, and the checksum targets
+// that read the stored field (non-inverted, and a trailer field at an
+// odd offset) alike.
 func TestEnumeratorSteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 21))
 	cases := []struct {
@@ -420,13 +565,23 @@ func TestEnumeratorSteadyStateZeroAllocs(t *testing.T) {
 			if off := tc.cfg.Opts.ChecksumOffset(len(p2)) - tcpip.IPv4HeaderLen; tc.pay%2 == 1 && off%2 == 0 {
 				t.Fatalf("checksum field at segment offset %d, want odd", off)
 			}
+			// The chain (p1, p2), (p2, p3) runs both the fresh path and
+			// the carried one: p2's precompute carries into the second
+			// pair.
+			p3 := flow.NextPacket(nil, makePayload(rng, tc.pay, 0))
 			e := NewEnumerator()
-			e.Pair(p1, p2, tc.cfg) // warm the buffers
-			avg := testing.AllocsPerRun(50, func() {
+			chain := func() {
 				e.Pair(p1, p2, tc.cfg)
-			})
+				kept := e.pk2
+				e.Pair(p2, p3, tc.cfg)
+				if e.pk1 != kept {
+					t.Fatal("packet 2 of the first pair did not carry into the second")
+				}
+			}
+			chain() // warm the buffers
+			avg := testing.AllocsPerRun(50, chain)
 			if avg != 0 {
-				t.Errorf("steady-state Pair allocates %.1f objects/op, want 0", avg)
+				t.Errorf("steady-state Pair allocates %.1f objects per two pairs, want 0", avg)
 			}
 			if !e.st.suffixBuilt {
 				t.Errorf("the pair never reached the suffix table")
@@ -437,9 +592,12 @@ func TestEnumeratorSteadyStateZeroAllocs(t *testing.T) {
 
 var benchSink Counts
 
-// BenchmarkEnumeratorPair times the steady-state hot path the tables
-// are built from: one warm enumerator classifying a pair, with the CRC
-// check on; header-caught subtrees are counted in O(1).  It reports ns
+// BenchmarkEnumeratorPair times one warm enumerator classifying the
+// same pair over and over, with the CRC check on; header-caught
+// subtrees are counted in O(1).  Packet 1 is never the previous call's
+// packet 2, so every call precomputes both packets: this is the
+// uncarried path (BenchmarkEnumeratorFlow times the carried one).  It
+// reports ns
 // per candidate splice, ns per walked candidate (one the header battery
 // did not catch, so the walk classified it) and the share of candidates
 // the header battery caught.
@@ -491,6 +649,45 @@ func BenchmarkEnumeratorPair(b *testing.B) {
 			b.ReportMetric(ns/float64(c.Total), "ns/candidate")
 			b.ReportMetric(ns/float64(c.Total-c.CaughtByHeader), "ns/walked")
 			b.ReportMetric(float64(c.CaughtByHeader)/float64(c.Total), "header-caught-share")
+		})
+	}
+}
+
+// BenchmarkEnumeratorFlow times the traffic sim.Run sends: one
+// enumerator walking every adjacent pair of a flow of 256-byte
+// segments, from two alternating packet buffers, with the CRC check on,
+// so each packet 2 is carried as the next pair's packet 1.  The flow
+// carries 64 KiB of each of three corpus file types.  It reports ns
+// per pair and ns per candidate splice.
+func BenchmarkEnumeratorFlow(b *testing.B) {
+	for _, ft := range []corpus.FileType{corpus.CSource, corpus.Executable, corpus.EnglishText} {
+		data := corpus.NewFileSpec(ft, 64<<10, 1).Generate()
+		cfg := Config{CheckCRC: true}
+		b.Run(ft.String(), func(b *testing.B) {
+			e := NewEnumerator()
+			var bufs [2][]byte
+			var prev []byte
+			var pairs, cands uint64
+			flow := tcpip.NewLoopbackFlow(cfg.Opts)
+			b.ReportAllocs()
+			for i, off := 0, 0; i < b.N; i++ {
+				if off >= len(data) {
+					// A new file: a new flow, and no pair across files.
+					flow, off, prev = tcpip.NewLoopbackFlow(cfg.Opts), 0, nil
+				}
+				pkt := flow.NextPacket(bufs[i&1][:0], data[off:min(off+256, len(data))])
+				bufs[i&1] = pkt[:0]
+				off += 256
+				if prev != nil {
+					c := e.Pair(prev, pkt, cfg)
+					pairs++
+					cands += c.Total
+				}
+				prev = pkt
+			}
+			ns := float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(ns/float64(max(pairs, 1)), "ns/pair")
+			b.ReportMetric(ns/float64(max(cands, 1)), "ns/candidate")
 		})
 	}
 }

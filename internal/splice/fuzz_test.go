@@ -12,36 +12,45 @@ import (
 // contents, sizes (runts included) and every checksum configuration.
 // This is the deepest invariant in the repository: the O(cells)
 // incremental classification must agree exactly with the O(bytes)
-// reference on every one of the C(2n−2, n−1) candidates.
+// reference on every one of the C(2n−2, n−1) candidates.  Each input
+// is a three-packet chain (a, b), (b, c) through one enumerator, so the
+// second pair runs on packet b's carried precompute, under a second
+// configuration the high bits of cfgSel choose.
 func FuzzEnumerateMatchesBruteForce(f *testing.F) {
-	f.Add([]byte("some payload for packet one"), []byte("and some for packet two!"), uint8(0))
-	f.Add(make([]byte, 96), make([]byte, 96), uint8(1))
-	f.Add([]byte{0, 0, 0, 1}, []byte{0xFF, 0xFF}, uint8(2))
-	f.Add(make([]byte, 150), make([]byte, 7), uint8(5))
-	f.Fuzz(func(t *testing.T, pay1, pay2 []byte, cfgSel uint8) {
+	f.Add([]byte("some payload for packet one"), []byte("and some for packet two!"), []byte("three"), uint8(0))
+	f.Add(make([]byte, 96), make([]byte, 96), make([]byte, 96), uint8(1))
+	f.Add([]byte{0, 0, 0, 1}, []byte{0xFF, 0xFF}, make([]byte, 200), uint8(2))
+	f.Add(make([]byte, 150), make([]byte, 7), make([]byte, 52), uint8(5))
+	f.Fuzz(func(t *testing.T, pay1, pay2, pay3 []byte, cfgSel uint8) {
 		// Bound sizes so the brute force stays fast: ≤ 7 cells each, so
 		// a pair reaches the Tables 1–3 geometry, where the stack walk
 		// chooses three slots and the suffix table the last three.
 		const maxPay = 260
-		if len(pay1) > maxPay {
-			pay1 = pay1[:maxPay]
-		}
-		if len(pay2) > maxPay {
-			pay2 = pay2[:maxPay]
-		}
-		if len(pay1) == 0 || len(pay2) == 0 {
-			return
+		pays := [][]byte{pay1, pay2, pay3}
+		for i, p := range pays {
+			if len(p) == 0 {
+				return
+			}
+			pays[i] = p[:min(len(p), maxPay)]
 		}
 		cfgs := allConfigs()
 		cfg := cfgs[int(cfgSel)%len(cfgs)]
+		cfg2 := cfgs[int(cfgSel)/len(cfgs)%len(cfgs)]
 		flow := tcpip.NewLoopbackFlow(cfg.Opts)
-		p1 := flow.NextPacket(nil, pay1)
-		p2 := flow.NextPacket(nil, pay2)
-		got := EnumeratePair(p1, p2, cfg)
-		want := refEnumerate(p1, p2, cfg)
-		if got != want {
-			t.Fatalf("cfg %+v len1=%d len2=%d:\n got %+v\nwant %+v",
-				cfg.Opts, len(pay1), len(pay2), got, want)
+		a := flow.NextPacket(nil, pays[0])
+		b := flow.NextPacket(nil, pays[1])
+		c := flow.NextPacket(nil, pays[2])
+		e := NewEnumerator()
+		for _, pr := range []struct {
+			p1, p2 []byte
+			cfg    Config
+		}{{a, b, cfg}, {b, c, cfg2}} {
+			got := e.Pair(pr.p1, pr.p2, pr.cfg)
+			want := refEnumerate(pr.p1, pr.p2, pr.cfg)
+			if got != want {
+				t.Fatalf("cfg %+v len1=%d len2=%d:\n got %+v\nwant %+v",
+					pr.cfg.Opts, len(pr.p1), len(pr.p2), got, want)
+			}
 		}
 	})
 }

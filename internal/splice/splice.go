@@ -24,14 +24,15 @@
 // composes across cells by plain addition (§4.1), the Fletcher pair
 // composes with the positional shift B += A·off (§5.2), and the CRC-32
 // register is affine over GF(2), so a cell at a slot contributes one
-// XOR term from a per-pair table (see crc.SlotContribs).  A depth-first
-// walk over a stack of branch states carries the partial values through
-// all but the last three slots.  A per-pair suffix table lists every
-// choice of cells for those three slots, in the walk's order, with
-// their partial values folded, so the leaves under a prefix are one
-// contiguous run of the table.  Under each prefix the walk derives one
-// target per check, and a leaf is classified by equality tests of its
-// entry against them: no per-leaf arithmetic, division or stack push.
+// XOR term, its raw partial shifted past the bytes after the slot.  A
+// depth-first walk over a stack of branch states carries the partial
+// values through all but the last three slots.  A per-pair suffix
+// table lists every choice of cells for those three slots, in the
+// walk's order, with their partial values folded, so the leaves under
+// a prefix are one contiguous run of the table.  Under each prefix the
+// walk derives one target per check, and a leaf is classified by
+// equality tests of its entry against them: no per-leaf arithmetic,
+// division or stack push.
 // A pair of 7-cell packets walks its 462 candidates under packet 1's
 // header cell through 84 distinct three-cell tails.
 //
@@ -48,14 +49,22 @@
 // two cells or fewer, visit each leaf and run the reference verifier
 // on the materialized splice instead.
 //
-// The per-pair precompute costs table lookups and memory compares: a
-// cell's CRC-32 slot contributions step from slot to slot through a
-// precomputed 48-byte shift operator, four lookups per slot, and the
-// equality maps are filled by slice compares, only for the slots the
-// walk can give each cell.  With the suffix table the per-pair cost
-// (the splice.pair layer of the benchmark) fell from 23.3 to 9.1 µs,
-// 25.5 to 10.0 ns per candidate, on the Tables 1–3 corpora (2-vCPU
-// Intel Xeon, go1.24); the precompute is now the larger part of it.
+// The precompute is split by what it depends on.  A packet's cells,
+// their ones-complement sums and Fletcher pairs, the part of the
+// header battery a cell passes on its own bytes, and each cell's
+// CRC-32 slot terms, kept by distance from the tail, do not depend on
+// the pair: they are computed once per packet, and a flow's packet 2
+// carries them into the next pair as its packet 1 (the enumerator
+// checks the bytes before it reuses them).  Each cell goes through the
+// CRC table once, and a slot term costs one 48-byte shift, four
+// lookups, per distance.  The pair fills its own tables from those:
+// the header's length check, the equality maps (slice compares, only
+// for the slots the walk can give each cell), and the CRC target,
+// which is the identity splice's sum of slot terms, so the trailer's
+// CRC is never read.  With the carry the per-pair cost (the
+// splice.pair layer of the benchmark) fell from 5.6 to 4.2 µs, 6.2 to
+// 4.6 ns per candidate, on the Tables 1–3 corpora (2-vCPU Intel Xeon,
+// go1.24).
 package splice
 
 import (
@@ -156,13 +165,20 @@ var (
 	tailShift  = crc32Table.NewShift(crcCoveredTail)
 )
 
-// Enumerator owns the reusable per-pair state of the splice walk.  One
+// Enumerator owns the reusable state of the splice walk.  One
 // enumerator processes any number of pairs sequentially; after the
 // first few pairs warm its buffers, enumeration allocates nothing.  An
 // Enumerator is not safe for concurrent use — give each worker its own.
+//
+// A flow's packet is packet 2 of one pair and packet 1 of the next, so
+// the enumerator keeps the last packet 2's precompute and reuses it
+// when the next call's packet 1 is byte-equal to its kept copy.  Any
+// other packet 1 is precomputed afresh: Pair's result never depends on
+// what came before.
 type Enumerator struct {
-	st             pairState
-	cells1, cells2 []atm.Cell
+	st       pairState
+	pk       [2]packet
+	pk1, pk2 *packet
 }
 
 // NewEnumerator returns an empty enumerator; buffers grow on first use.
@@ -170,16 +186,22 @@ func NewEnumerator() *Enumerator { return &Enumerator{} }
 
 // Pair inspects every candidate splice of two adjacent packets (full
 // IPv4 packets as built by tcpip.Flow) and returns the classification
-// counts.  Packets too short to segment are ignored.
+// counts.  Packets too long to segment are ignored.
 func (e *Enumerator) Pair(p1, p2 []byte, cfg Config) Counts {
-	var err1, err2 error
-	e.cells1, err1 = atm.AppendSegment(e.cells1[:0], p1, 0, 32)
-	e.cells2, err2 = atm.AppendSegment(e.cells2[:0], p2, 0, 32)
-	if err1 != nil || err2 != nil {
+	if len(p1) > atm.MaxSDU || len(p2) > atm.MaxSDU {
 		return Counts{}
 	}
+	if e.pk1 == nil {
+		e.pk1, e.pk2 = &e.pk[0], &e.pk[1]
+	}
+	if e.pk2.n > 0 && bytes.Equal(p1, e.pk2.sdu()) {
+		e.pk1, e.pk2 = e.pk2, e.pk1
+	} else {
+		e.pk1.load(p1)
+	}
+	e.pk2.load(p2)
 	st := &e.st
-	st.reset(p1, p2, e.cells1, e.cells2, cfg)
+	st.reset(e.pk1, e.pk2, cfg)
 	st.enumerate()
 	return st.counts
 }
@@ -190,6 +212,128 @@ func (e *Enumerator) Pair(p1, p2 []byte, cfg Config) Counts {
 func EnumeratePair(p1, p2 []byte, cfg Config) Counts {
 	var e Enumerator
 	return e.Pair(p1, p2, cfg)
+}
+
+// packet is one packet's precompute that does not depend on the pair
+// it is in: its cells and, for each cell but the marked trailer cell
+// (the cells a pool can hold), the partial values the walk composes.
+// load fills what every role reads; the slot-0 terms, the Fletcher
+// pairs and the CRC-32 terms are filled on first use, once per packet.
+type packet struct {
+	buf []byte // the packet's bytes, zero-padded to whole cells
+	l   int    // SDU (IP packet) length
+	n   int    // cells; 0 before the first load
+
+	sum48 []uint16 // cell j's ones-complement sum
+
+	// Slot-0 terms, for the packet's turn as packet 1.
+	headDone bool
+	sumHead  []uint16     // cell bytes 20..48
+	hdr      []cellHeader // the pair-independent header battery
+
+	fmod     fletcher.Mod // modulus pair48 and pairHead hold; 0 for none
+	pair48   []fletcher.Pair
+	pairHead []fletcher.Pair
+
+	// crcTerms[j][d] is cell j's CRC-32 slot term at distance d from the
+	// tail: its raw partial shifted past the pinned cell's covered bytes
+	// and d further cells.  A splice of need cells puts the cell at slot
+	// s at distance need−1−s.  Rows grow one cellShift.Apply per
+	// distance as pairs ask for them (crcRow); crcDone is false until
+	// the first ask fills every row's distance 0.
+	crcDone  bool
+	crcTerms [][]uint64
+}
+
+// cellHeader is the part of the §3.1 header battery a cell passes or
+// fails on its own bytes as the splice's first cell.  What depends on
+// the pair — TotalLength against the splice length, and whether the IP
+// header checksum counts — is checked by pairState.headerPasses.
+type cellHeader struct {
+	total uint16 // IP TotalLength
+	tcp   bool   // decodes as option-less IPv4 carrying a valid TCP header
+	ipSum bool   // the IP header checksum verifies
+}
+
+// decodeHeader runs the pair-independent header battery on cell.
+func decodeHeader(cell []byte) cellHeader {
+	var ip tcpip.IPv4Header
+	if ip.DecodeFromBytes(cell) != nil {
+		return cellHeader{}
+	}
+	return cellHeader{
+		total: ip.TotalLength,
+		tcp:   ip.Protocol == tcpip.ProtocolTCP && tcpip.ValidateTCP(cell[tcpip.IPv4HeaderLen:tcpip.HeadersLen]) == nil,
+		ipSum: inet.Verify(cell[:tcpip.IPv4HeaderLen]),
+	}
+}
+
+// load makes p the precompute of packet b, keeping a copy of its bytes.
+func (p *packet) load(b []byte) {
+	p.l = len(b)
+	p.n = atm.CellCount(len(b))
+	p.buf = grow(p.buf, p.n*atm.PayloadSize)
+	n := copy(p.buf, b)
+	clear(p.buf[n:]) // AAL5 padding; the trailer's bytes are never read
+	p.sum48 = grow(p.sum48, p.n-1)
+	for j := range p.sum48 {
+		p.sum48[j] = inet.Sum(p.cell(j))
+	}
+	p.headDone, p.fmod, p.crcDone = false, 0, false
+}
+
+// sdu returns the kept copy of the packet's bytes.
+func (p *packet) sdu() []byte { return p.buf[:p.l] }
+
+// cell returns cell j's payload.
+func (p *packet) cell(j int) []byte { return p.buf[j*atm.PayloadSize : (j+1)*atm.PayloadSize] }
+
+// heads fills the slot-0 terms.
+func (p *packet) heads() {
+	if p.headDone {
+		return
+	}
+	p.sumHead = grow(p.sumHead, p.n-1)
+	p.hdr = grow(p.hdr, p.n-1)
+	for j := range p.sumHead {
+		cell := p.cell(j)
+		p.sumHead[j] = inet.Sum(cell[tcpip.IPv4HeaderLen:])
+		p.hdr[j] = decodeHeader(cell)
+	}
+	p.headDone = true
+}
+
+// fletcher fills the Fletcher pairs under modulus m.
+func (p *packet) fletcher(m fletcher.Mod) {
+	if p.fmod == m {
+		return
+	}
+	p.pair48 = grow(p.pair48, p.n-1)
+	p.pairHead = grow(p.pairHead, p.n-1)
+	for j := range p.pair48 {
+		cell := p.cell(j)
+		p.pair48[j] = m.Sum(cell)
+		p.pairHead[j] = m.Sum(cell[tcpip.IPv4HeaderLen:])
+	}
+	p.fmod = m
+}
+
+// crcRow returns cell j's CRC-32 terms at distances 0 … d.  Each
+// cell's bytes go through the CRC table once per load.
+func (p *packet) crcRow(j, d int) []uint64 {
+	if !p.crcDone {
+		p.crcTerms = grow(p.crcTerms, p.n-1)
+		for i := range p.crcTerms {
+			p.crcTerms[i] = append(p.crcTerms[i][:0], tailShift.Apply(crc32Table.RawUpdate(0, p.cell(i))))
+		}
+		p.crcDone = true
+	}
+	t := p.crcTerms[j]
+	for len(t) <= d {
+		t = append(t, cellShift.Apply(t[len(t)-1]))
+	}
+	p.crcTerms[j] = t
+	return t
 }
 
 // pairState holds the per-pair precomputation shared by all branches of
@@ -207,11 +351,12 @@ type pairState struct {
 
 	// Header validity of each pool cell if it were the splice's first
 	// cell, plus the same for the pinned last cell (the n2 == 1 case).
-	// Only the indices slot 0 can take, i ≤ len(pool)−need, are filled.
+	// Only packet 1's cells, the indices slot 0 can take before the walk
+	// ends, are filled.
 	headerOK     []bool
 	lastHeaderOK bool
 
-	// Incremental transport-checksum precomputation.
+	// Incremental transport-checksum precomputation, pool-indexed.
 	pseudo   uint16 // pseudo-header sum for an L2-byte packet
 	sum48    []uint16
 	sumHead  []uint16 // cell bytes 20..48 (slot-0 contribution; filled as headerOK)
@@ -237,9 +382,9 @@ type pairState struct {
 
 	// Affine CRC state: the register of a full splice decomposes as
 	// base ⊕ Σ crcContrib[cell, slot], so each take-step is one XOR and
-	// the leaf check is one comparison against crcWant (the trailer CRC
-	// unfinalized and folded with the base term).  crcContrib is
-	// flattened with stride crcSlots = n2−1.
+	// the leaf check is one comparison against crcWant, the identity
+	// splice's Σ (its base term cancels).  crcContrib is flattened with
+	// stride crcSlots = n2−1; only the slots in slotRange are filled.
 	crcSlots   int
 	crcContrib []uint64
 	crcWant    uint64
@@ -270,13 +415,13 @@ func grow[T any](buf []T, n int) []T {
 }
 
 // reset rebuilds the per-pair state in place for a new packet pair.
-func (st *pairState) reset(p1, p2 []byte, cells1, cells2 []atm.Cell, cfg Config) {
+func (st *pairState) reset(pk1, pk2 *packet, cfg Config) {
 	st.cfg = cfg
-	st.l1, st.l2 = len(p1), len(p2)
-	st.n2 = len(cells2)
-	st.m1 = len(cells1) - 1
-	st.sameLen = len(p1) == len(p2)
-	st.p1sdu, st.p2sdu = p1, p2
+	st.l1, st.l2 = pk1.l, pk2.l
+	st.n2 = pk2.n
+	st.m1 = pk1.n - 1
+	st.sameLen = st.l1 == st.l2
+	st.p1sdu, st.p2sdu = pk1.sdu(), pk2.sdu()
 	st.counts = Counts{Pairs: 1}
 	st.slowVerify = false
 	st.coverFull = false
@@ -286,13 +431,13 @@ func (st *pairState) reset(p1, p2 []byte, cells1, cells2 []atm.Cell, cfg Config)
 	// Candidate pool: P1's cells except its marked trailer, then P2's
 	// cells except the pinned trailer.
 	st.pool = st.pool[:0]
-	for i := 0; i < len(cells1)-1; i++ {
-		st.pool = append(st.pool, cells1[i].Payload[:])
+	for j := range pk1.n - 1 {
+		st.pool = append(st.pool, pk1.cell(j))
 	}
-	for i := 0; i < len(cells2)-1; i++ {
-		st.pool = append(st.pool, cells2[i].Payload[:])
+	for j := range pk2.n - 1 {
+		st.pool = append(st.pool, pk2.cell(j))
 	}
-	st.lastCell = cells2[len(cells2)-1].Payload[:]
+	st.lastCell = pk2.cell(pk2.n - 1)
 	st.lastLen = st.l2 - (st.n2-1)*atm.PayloadSize
 	if st.lastLen < 0 {
 		// The last cell carries only padding and trailer, so a chosen
@@ -307,22 +452,7 @@ func (st *pairState) reset(p1, p2 []byte, cells1, cells2 []atm.Cell, cfg Config)
 		// Trailer checksum field straddles the final cell boundary.
 		st.slowVerify = true
 	}
-
 	st.crcSlots = st.n2 - 1
-	if cfg.CheckCRC {
-		tr := atm.DecodeTrailer(st.lastCell)
-		// Fold the init-propagation and pinned-cell terms of the affine
-		// decomposition into the target, so a leaf's CRC test is a bare
-		// comparison of the branch accumulator against crcWant.
-		// The init term is RawInit shifted past crcSlots cells and the
-		// covered tail.
-		reg := tailShift.Apply(crc32Table.RawInit())
-		for range st.crcSlots {
-			reg = cellShift.Apply(reg)
-		}
-		base := reg ^ crc32Table.RawUpdate(0, st.lastCell[:crcCoveredTail])
-		st.crcWant = crc32Table.RawFromCRC(uint64(tr.CRC)) ^ base
-	}
 
 	st.fieldOff = cfg.Opts.ChecksumOffset(st.l2)
 	if cfg.Opts.ZeroIPHeader {
@@ -340,52 +470,79 @@ func (st *pairState) reset(p1, p2 []byte, cells1, cells2 []atm.Cell, cfg Config)
 		st.fmod = fletcher.Mod256
 	}
 
-	st.precomputeCells()
+	st.precomputeCells(pk1, pk2)
 }
 
-// precomputeCells fills the per-pool-cell tables.
-func (st *pairState) precomputeCells() {
+// precomputeCells fills the pool-indexed tables from the two packets'
+// precompute.
+func (st *pairState) precomputeCells(pk1, pk2 *packet) {
 	n := len(st.pool)
 	st.headerOK = grow(st.headerOK, n)
 	st.sum48 = grow(st.sum48, n)
 	st.sumHead = grow(st.sumHead, n)
-	st.pair48 = grow(st.pair48, n)
-	st.pairHead = grow(st.pairHead, n)
 	st.eq1 = grow(st.eq1, n*st.n2)
 	st.eq2 = grow(st.eq2, n*st.n2)
-	if st.cfg.CheckCRC {
-		st.crcContrib = grow(st.crcContrib, n*st.crcSlots)
-	}
 
+	copy(st.sum48[copy(st.sum48, pk1.sum48):], pk2.sum48)
+	pk1.heads()
+	copy(st.sumHead, pk1.sumHead)
+	for i, h := range pk1.hdr {
+		st.headerOK[i] = st.headerPasses(h)
+	}
+	if st.fmod != 0 {
+		pk1.fletcher(st.fmod)
+		pk2.fletcher(st.fmod)
+		st.pair48 = grow(st.pair48, n)
+		st.pairHead = grow(st.pairHead, n)
+		copy(st.pair48[copy(st.pair48, pk1.pair48):], pk2.pair48)
+		copy(st.pairHead, pk1.pairHead)
+	}
 	for i, cell := range st.pool {
 		lo, hi := st.slotRange(i)
-		if lo == 0 {
-			st.headerOK[i] = st.headerValid(cell)
-			st.sumHead[i] = inet.Sum(cell[tcpip.IPv4HeaderLen:])
-			if st.fmod != 0 {
-				st.pairHead[i] = st.fmod.Sum(cell[tcpip.IPv4HeaderLen:])
-			}
-		}
-		st.sum48[i] = inet.Sum(cell)
-		if st.fmod != 0 {
-			st.pair48[i] = st.fmod.Sum(cell)
-		}
 		for s := lo; s <= hi; s++ {
 			st.eq1[i*st.n2+s] = st.eqAt(st.p1sdu, cell, s)
 			st.eq2[i*st.n2+s] = st.eqAt(st.p2sdu, cell, s)
 		}
-		if st.cfg.CheckCRC && st.crcSlots > 0 {
-			crc32Table.SlotContribs(st.crcContrib[i*st.crcSlots:(i+1)*st.crcSlots],
-				cell, cellShift, tailShift)
-		}
 	}
-	st.lastHeaderOK = st.headerValid(st.lastCell)
+	if st.cfg.CheckCRC {
+		st.precomputeCRC(pk1, pk2)
+	}
+	st.lastHeaderOK = st.n2 == 1 && st.headerPasses(decodeHeader(st.lastCell))
 	st.sumLast = inet.Sum(st.lastCell[:st.lastLen])
 	if st.fmod != 0 {
 		st.pairLast = st.fmod.Sum(st.lastCell[:st.lastLen])
 	}
 	// Pinned last cell vs packet 1's final slot.
 	st.lastEq1 = st.sameLen && st.eqAt(st.p1sdu, st.lastCell, st.n2-1)
+}
+
+// precomputeCRC fills crcContrib at the slots the walk can give each
+// pool cell, from the packets' terms by distance, and crcWant.  The
+// trailer's CRC is the identity splice's register, so crcWant, which
+// folds away the base term, is the XOR of packet 2's own cells' terms
+// at their own slots.
+func (st *pairState) precomputeCRC(pk1, pk2 *packet) {
+	st.crcWant = 0
+	if st.crcSlots == 0 {
+		return
+	}
+	last := st.crcSlots - 1
+	st.crcContrib = grow(st.crcContrib, len(st.pool)*st.crcSlots)
+	for i := range st.pool {
+		pk, j := pk1, i
+		if i >= st.m1 {
+			pk, j = pk2, i-st.m1
+		}
+		lo, hi := st.slotRange(i)
+		t := pk.crcRow(j, last-lo)
+		row := st.crcContrib[i*st.crcSlots:]
+		for s := lo; s <= hi; s++ {
+			row[s] = t[last-s]
+		}
+	}
+	for s := range st.crcSlots {
+		st.crcWant ^= st.crcContrib[(st.m1+s)*st.crcSlots+s]
+	}
 }
 
 // slotRange returns the slots lo … hi the walk can give pool cell i:
@@ -397,24 +554,13 @@ func (st *pairState) slotRange(i int) (lo, hi int) {
 	return max(0, i-(len(st.pool)-need)), min(i, need-1)
 }
 
-// headerValid reports whether cell, as the splice's first cell, yields
-// a syntactically valid 40-byte TCP/IP header consistent with the
-// splice length l2 (§3.1's three requirements, transport-layer part).
-func (st *pairState) headerValid(cell []byte) bool {
-	if st.l2 < tcpip.HeadersLen || len(cell) < tcpip.HeadersLen {
-		return false
-	}
-	var ip tcpip.IPv4Header
-	if ip.DecodeFromBytes(cell) != nil {
-		return false
-	}
-	if int(ip.TotalLength) != st.l2 || ip.Protocol != tcpip.ProtocolTCP {
-		return false
-	}
-	if !st.cfg.Opts.ZeroIPHeader && !inet.Verify(cell[:tcpip.IPv4HeaderLen]) {
-		return false
-	}
-	return tcpip.ValidateTCP(cell[tcpip.IPv4HeaderLen:tcpip.HeadersLen]) == nil
+// headerPasses reports whether a cell whose own bytes give h, as the
+// splice's first cell, yields a syntactically valid 40-byte TCP/IP
+// header consistent with the splice length l2 (§3.1's three
+// requirements, transport-layer part).
+func (st *pairState) headerPasses(h cellHeader) bool {
+	return st.l2 >= tcpip.HeadersLen && h.tcp && int(h.total) == st.l2 &&
+		(st.cfg.Opts.ZeroIPHeader || h.ipSum)
 }
 
 // eqAt compares cell against orig's SDU at slot s, restricted to SDU
